@@ -198,45 +198,15 @@ func Validate(p *isa.Program, lim Limits) error {
 }
 
 // checkRegs verifies that every register the instruction actually
-// reads or writes is under the declared footprint. Only referenced
-// fields count: the assembler zeroes unused operand fields, but
-// hand-built programs may not.
+// reads or writes is under the declared footprint. Only the operands
+// the opcode names count: the assembler zeroes unused operand fields,
+// but hand-built programs may not.
 func checkRegs(pc int, in isa.Instr, declared int) error {
-	check := func(r uint8) error {
+	regs, n := in.GPRs()
+	for _, r := range regs[:n] {
 		if int(r) >= declared {
 			return reject(ReasonRegisters, pc,
 				"R%d exceeds declared .regs %d", r, declared)
-		}
-		return nil
-	}
-	var refs []uint8
-	switch in.Op {
-	case isa.MOVI:
-		refs = []uint8{in.Dst}
-	case isa.MOV, isa.MUFU:
-		refs = []uint8{in.Dst, in.SrcA}
-	case isa.S2R:
-		refs = []uint8{in.Dst} // SrcA selects a special register, not a GPR
-	case isa.IADD, isa.IMUL, isa.IAND, isa.IOR, isa.IXOR, isa.FADD, isa.FMUL:
-		refs = []uint8{in.Dst, in.SrcA, in.SrcB}
-	case isa.IADDI, isa.IMULI, isa.SHL, isa.SHR:
-		refs = []uint8{in.Dst, in.SrcA}
-	case isa.FFMA:
-		refs = []uint8{in.Dst, in.SrcA, in.SrcB, in.SrcC}
-	case isa.ISETP:
-		refs = []uint8{in.SrcA, in.SrcB} // Dst is a predicate
-	case isa.ISETPI:
-		refs = []uint8{in.SrcA}
-	case isa.LDG, isa.TLD:
-		refs = []uint8{in.Dst, in.SrcA}
-	case isa.STG:
-		refs = []uint8{in.SrcA, in.SrcB}
-	case isa.TEX:
-		refs = []uint8{in.Dst, in.SrcA, in.SrcB}
-	}
-	for _, r := range refs {
-		if err := check(r); err != nil {
-			return err
 		}
 	}
 	return nil

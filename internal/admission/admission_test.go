@@ -147,6 +147,16 @@ func TestLimitsEnforced(t *testing.T) {
 	}
 }
 
+func TestValidateRejectsWideImmediate(t *testing.T) {
+	// 4294967300 would truncate to [R1+4], inside the footprint.
+	src := ".regs 8\n    LDG R2, [R1+4294967300] &wr=sb0\n    EXIT\n"
+	_, err := ValidateSource("wide", src, Limits{})
+	var aerr *Error
+	if !errors.As(err, &aerr) || aerr.Reason != ReasonParse {
+		t.Fatalf("want parse reject, got %v", err)
+	}
+}
+
 // fuzzBudget is deliberately tiny so hostile accepted inputs die fast.
 var fuzzBudget = sm.Budget{MaxCycles: 20000, MaxInstrs: 40000, MaxMemBytes: 1 << 16}
 

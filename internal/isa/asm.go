@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -107,10 +108,7 @@ func asmLine(b *Builder, line string) error {
 	}
 
 	mnemonic, rest, _ := strings.Cut(line, " ")
-	mnemonic = strings.ToUpper(mnemonic)
-	ops := splitOperands(rest)
-
-	in, target, err := parseInstr(mnemonic, ops)
+	in, target, err := parseInstr(strings.ToUpper(mnemonic), splitOperands(rest))
 	if err != nil {
 		return err
 	}
@@ -118,18 +116,19 @@ func asmLine(b *Builder, line string) error {
 	if wr >= 0 && !in.Op.IsLongLatency() {
 		return fmt.Errorf("&wr on %s", in.Op)
 	}
-
-	switch in.Op {
-	case BRA:
+	if in.Op.has(guarded) {
 		in.Pred, in.PredNeg = pred, predNeg
-		b.fixBranch(in, target)
-	case BSSY:
-		b.fixBssy(in, target)
-	default:
-		if pred != PT || predNeg {
-			return fmt.Errorf("predicate guard only valid on BRA")
-		}
+	} else if pred != PT || predNeg {
+		return fmt.Errorf("predicate guard on %s", in.Op)
+	}
+
+	if target == "" {
 		b.Raw(in)
+	} else if pc, err := strconv.Atoi(target); err == nil {
+		in.Target = pc
+		b.Raw(in)
+	} else {
+		b.emitFixup(in, target)
 	}
 	return nil
 }
@@ -177,359 +176,122 @@ func parseIdx(tok, prefix string, limit int) (uint8, error) {
 	return uint8(n), nil
 }
 
+// parseImm parses a 32-bit immediate. Literals up to MaxUint32 are
+// accepted as bit patterns (0xFFFFFFFF is -1); anything wider is an
+// error rather than a silent truncation.
 func parseImm(tok string) (int32, error) {
 	n, err := strconv.ParseInt(tok, 0, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad immediate %q", tok)
 	}
+	if n < math.MinInt32 || n > math.MaxUint32 {
+		return 0, fmt.Errorf("immediate %q does not fit in 32 bits", tok)
+	}
 	return int32(n), nil
 }
 
-// parseMem parses "[Ra+imm]" or "[Ra+Rb+imm]"; imm is optional.
-func parseMem(tok string) (ra, rb uint8, hasRB bool, imm int32, err error) {
+// parseMem parses "[Ra+imm]", or "[Ra+Rb+imm]" when withRb is set;
+// imm is optional.
+func parseMem(tok string, withRb bool) (ra, rb uint8, imm int32, err error) {
 	if !strings.HasPrefix(tok, "[") || !strings.HasSuffix(tok, "]") {
-		return 0, 0, false, 0, fmt.Errorf("expected address operand, got %q", tok)
+		return 0, 0, 0, fmt.Errorf("expected address operand, got %q", tok)
 	}
 	parts := strings.Split(tok[1:len(tok)-1], "+")
-	if len(parts) == 0 || len(parts) > 3 {
-		return 0, 0, false, 0, fmt.Errorf("bad address %q", tok)
+	if len(parts) > 3 {
+		return 0, 0, 0, fmt.Errorf("bad address %q", tok)
 	}
 	if ra, err = parseIdx(strings.TrimSpace(parts[0]), "R", NumRegs); err != nil {
 		return
 	}
 	rest := parts[1:]
-	if len(rest) > 0 && strings.HasPrefix(strings.TrimSpace(rest[0]), "R") {
+	hasRb := len(rest) > 0 && strings.HasPrefix(strings.TrimSpace(rest[0]), "R")
+	if hasRb {
 		if rb, err = parseIdx(strings.TrimSpace(rest[0]), "R", NumRegs); err != nil {
 			return
 		}
-		hasRB = true
 		rest = rest[1:]
 	}
-	if len(rest) == 1 {
-		if imm, err = parseImm(strings.TrimSpace(rest[0])); err != nil {
-			return
-		}
-	} else if len(rest) > 1 {
+	switch {
+	case withRb && !hasRb:
+		err = fmt.Errorf("address %q wants [Ra+Rb+imm]", tok)
+	case hasRb && !withRb:
+		err = fmt.Errorf("address %q takes a single base register", tok)
+	case len(rest) == 1:
+		imm, err = parseImm(strings.TrimSpace(rest[0]))
+	case len(rest) > 1:
 		err = fmt.Errorf("bad address %q", tok)
 	}
 	return
 }
 
-// parseInstr builds the instruction; branch-like ops also return their
-// textual target for fixup.
+// parseInstr builds the instruction from its opcode-table row; an
+// instruction with a target operand also returns the target text for
+// fixup.
 func parseInstr(mnemonic string, ops []string) (Instr, string, error) {
-	need := func(n int) error {
-		if len(ops) != n {
-			return fmt.Errorf("%s wants %d operands, got %d", mnemonic, n, len(ops))
-		}
-		return nil
+	name, cmpName, hasCmp := strings.Cut(mnemonic, ".")
+	op, ok := opByName[name]
+	if !ok || hasCmp != op.takes(oPd) {
+		return Instr{}, "", fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
-
-	// Compare-suffixed mnemonics: ISETP.LT etc.
-	if cmpName, ok := strings.CutPrefix(mnemonic, "ISETP."); ok {
+	in := MakeInstr(op)
+	if hasCmp {
 		cmp, err := parseCmp(cmpName)
 		if err != nil {
 			return Instr{}, "", err
 		}
-		if err := need(3); err != nil {
-			return Instr{}, "", err
-		}
-		pd, err := parseIdx(ops[0], "P", NumPreds)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		ra, err := parseIdx(ops[1], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(ISETPI)
-		in.Cmp, in.Dst, in.SrcA = cmp, pd, ra
-		if strings.HasPrefix(ops[2], "R") {
-			rb, err := parseIdx(ops[2], "R", NumRegs)
-			if err != nil {
-				return Instr{}, "", err
-			}
-			in.Op, in.SrcB = ISETP, rb
-		} else {
-			imm, err := parseImm(ops[2])
-			if err != nil {
-				return Instr{}, "", err
-			}
-			in.Imm = imm
-		}
-		return in, "", nil
+		in.Cmp = cmp
 	}
-
-	switch mnemonic {
-	case "NOP", "YIELD", "EXIT":
-		if err := need(0); err != nil {
-			return Instr{}, "", err
-		}
-		op := map[string]Opcode{"NOP": NOP, "YIELD": YIELD, "EXIT": EXIT}[mnemonic]
-		return MakeInstr(op), "", nil
-
-	case "MOVI":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		imm, err := parseImm(ops[1])
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(MOVI)
-		in.Dst, in.Imm = rd, imm
-		return in, "", nil
-
-	case "MOV", "MUFU":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		ra, err := parseIdx(ops[1], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(map[string]Opcode{"MOV": MOV, "MUFU": MUFU}[mnemonic])
-		in.Dst, in.SrcA = rd, ra
-		return in, "", nil
-
-	case "S2R":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		sr, err := parseIdx(ops[1], "SR", 4)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(S2R)
-		in.Dst, in.SrcA = rd, sr
-		return in, "", nil
-
-	case "IADD", "IMUL", "IAND", "IOR", "IXOR", "FADD", "FMUL", "SHL", "SHR":
-		if err := need(3); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		ra, err := parseIdx(ops[1], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		if strings.HasPrefix(ops[2], "R") {
-			rb, err := parseIdx(ops[2], "R", NumRegs)
-			if err != nil {
-				return Instr{}, "", err
-			}
-			var op Opcode
-			switch mnemonic {
-			case "IADD":
-				op = IADD
-			case "IMUL":
-				op = IMUL
-			case "IAND":
-				op = IAND
-			case "IOR":
-				op = IOR
-			case "IXOR":
-				op = IXOR
-			case "FADD":
-				op = FADD
-			case "FMUL":
-				op = FMUL
-			default:
-				return Instr{}, "", fmt.Errorf("%s requires an immediate third operand", mnemonic)
-			}
-			in := MakeInstr(op)
-			in.Dst, in.SrcA, in.SrcB = rd, ra, rb
-			return in, "", nil
-		}
-		imm, err := parseImm(ops[2])
-		if err != nil {
-			return Instr{}, "", err
-		}
-		var op Opcode
-		switch mnemonic {
-		case "IADD":
-			op = IADDI
-		case "IMUL":
-			op = IMULI
-		case "SHL":
-			op = SHL
-		case "SHR":
-			op = SHR
-		default:
-			return Instr{}, "", fmt.Errorf("%s does not take an immediate", mnemonic)
-		}
-		in := MakeInstr(op)
-		in.Dst, in.SrcA, in.Imm = rd, ra, imm
-		return in, "", nil
-
-	case "IADDI", "IMULI":
-		if err := need(3); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		ra, err := parseIdx(ops[1], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		imm, err := parseImm(ops[2])
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(map[string]Opcode{"IADDI": IADDI, "IMULI": IMULI}[mnemonic])
-		in.Dst, in.SrcA, in.Imm = rd, ra, imm
-		return in, "", nil
-
-	case "FFMA":
-		if err := need(4); err != nil {
-			return Instr{}, "", err
-		}
-		var regs [4]uint8
-		for i, op := range ops {
-			r, err := parseIdx(op, "R", NumRegs)
-			if err != nil {
-				return Instr{}, "", err
-			}
-			regs[i] = r
-		}
-		in := MakeInstr(FFMA)
-		in.Dst, in.SrcA, in.SrcB, in.SrcC = regs[0], regs[1], regs[2], regs[3]
-		return in, "", nil
-
-	case "LDG", "TLD":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		ra, _, hasRB, imm, err := parseMem(ops[1])
-		if err != nil {
-			return Instr{}, "", err
-		}
-		if hasRB {
-			return Instr{}, "", fmt.Errorf("%s takes a single base register", mnemonic)
-		}
-		in := MakeInstr(map[string]Opcode{"LDG": LDG, "TLD": TLD}[mnemonic])
-		in.Dst, in.SrcA, in.Imm = rd, ra, imm
-		return in, "", nil
-
-	case "TEX":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		ra, rb, hasRB, imm, err := parseMem(ops[1])
-		if err != nil {
-			return Instr{}, "", err
-		}
-		if !hasRB {
-			return Instr{}, "", fmt.Errorf("TEX wants [Ra+Rb+imm]")
-		}
-		in := MakeInstr(TEX)
-		in.Dst, in.SrcA, in.SrcB, in.Imm = rd, ra, rb, imm
-		return in, "", nil
-
-	case "STG":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		ra, _, hasRB, imm, err := parseMem(ops[0])
-		if err != nil {
-			return Instr{}, "", err
-		}
-		if hasRB {
-			return Instr{}, "", fmt.Errorf("STG takes a single base register")
-		}
-		rb, err := parseIdx(ops[1], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(STG)
-		in.SrcA, in.Imm, in.SrcB = ra, imm, rb
-		return in, "", nil
-
-	case "TRACE":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		ra, err := parseIdx(ops[1], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(TRACE)
-		in.Dst, in.SrcA = rd, ra
-		return in, "", nil
-
-	case "BRA":
-		if err := need(1); err != nil {
-			return Instr{}, "", err
-		}
-		return MakeInstr(BRA), ops[0], nil
-
-	case "BRX":
-		if err := need(1); err != nil {
-			return Instr{}, "", err
-		}
-		ra, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(BRX)
-		in.SrcA = ra
-		return in, "", nil
-
-	case "BSSY":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		bar, err := parseIdx(ops[0], "B", NumBarriers)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(BSSY)
-		in.Barrier = bar
-		return in, ops[1], nil
-
-	case "BSYNC":
-		if err := need(1); err != nil {
-			return Instr{}, "", err
-		}
-		bar, err := parseIdx(ops[0], "B", NumBarriers)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(BSYNC)
-		in.Barrier = bar
-		return in, "", nil
+	if want := len(op.operands()); len(ops) != want {
+		return Instr{}, "", fmt.Errorf("%s wants %d operands, got %d", mnemonic, want, len(ops))
 	}
-	return Instr{}, "", fmt.Errorf("unknown mnemonic %q", mnemonic)
+	if imm := opTable[op].imm; imm != NOP && !strings.HasPrefix(ops[len(ops)-1], "R") {
+		in.Op = imm
+	}
+	var target string
+	for i, o := range in.Op.operands() {
+		tok := ops[i]
+		var err error
+		switch o {
+		case oRd:
+			in.Dst, err = parseIdx(tok, "R", NumRegs)
+		case oPd:
+			in.Dst, err = parseIdx(tok, "P", NumPreds)
+		case oRa:
+			in.SrcA, err = parseIdx(tok, "R", NumRegs)
+		case oRb:
+			in.SrcB, err = parseIdx(tok, "R", NumRegs)
+		case oRc:
+			in.SrcC, err = parseIdx(tok, "R", NumRegs)
+		case oSR:
+			in.SrcA, err = parseIdx(tok, "SR", SRThreadID+1)
+		case oImm:
+			in.Imm, err = parseImm(tok)
+		case oMem, oMemRb:
+			in.SrcA, in.SrcB, in.Imm, err = parseMem(tok, o == oMemRb)
+		case oBar:
+			in.Barrier, err = parseIdx(tok, "B", NumBarriers)
+		case oTarget:
+			target = tok
+		}
+		if err != nil {
+			return Instr{}, "", err
+		}
+	}
+	return in, target, nil
 }
+
+// opByName maps assembly mnemonics to opcodes. Rows with their own asm
+// spelling (ISETPI, written ISETP.cmp) are reached through the register
+// form's imm sibling instead.
+var opByName = func() map[string]Opcode {
+	m := make(map[string]Opcode, numOpcodes)
+	for op := Opcode(0); op < numOpcodes; op++ {
+		if opTable[op].asm == "" {
+			m[opTable[op].name] = op
+		}
+	}
+	return m
+}()
 
 func parseCmp(name string) (CmpOp, error) {
 	switch name {
@@ -547,28 +309,4 @@ func parseCmp(name string) (CmpOp, error) {
 		return CmpGE, nil
 	}
 	return 0, fmt.Errorf("unknown comparison %q", name)
-}
-
-// fixBranch appends a predicated branch whose target is either a label
-// or an absolute instruction index.
-func (b *Builder) fixBranch(in Instr, target string) {
-	if pc, err := strconv.Atoi(target); err == nil {
-		in.Target = pc
-		b.Raw(in)
-		return
-	}
-	b.fixups = append(b.fixups, fixup{pc: len(b.code), label: target})
-	b.emit(in)
-}
-
-// fixBssy appends a BSSY whose reconvergence target is a label or an
-// absolute instruction index.
-func (b *Builder) fixBssy(in Instr, target string) {
-	if pc, err := strconv.Atoi(target); err == nil {
-		in.Target = pc
-		b.Raw(in)
-		return
-	}
-	b.fixups = append(b.fixups, fixup{pc: len(b.code), label: target})
-	b.emit(in)
 }

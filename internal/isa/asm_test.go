@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -95,6 +96,7 @@ func TestAssembleOperandForms(t *testing.T) {
 		TLD R10, [R1+0] &wr=sb2
 		STG [R1+4], R9
 		TRACE R11, R1 &wr=sb3
+		MOVI R12, 0xFFFFFFFF
 		BRX R4
 	`
 	p, err := Assemble("forms", src)
@@ -112,6 +114,9 @@ func TestAssembleOperandForms(t *testing.T) {
 	}
 	if p.Code[12].Op != ISETP || p.Code[13].Op != ISETPI {
 		t.Error("ISETP forms wrong")
+	}
+	if p.Code[18].Imm != -1 {
+		t.Errorf("0xFFFFFFFF immediate = %d, want the -1 bit pattern", p.Code[19].Imm)
 	}
 }
 
@@ -150,6 +155,11 @@ func TestAssembleErrors(t *testing.T) {
 		{"guard on non-branch", "@P0 MOVI R1, 2\nEXIT"},
 		{"scoreboard range", "LDG R1, [R2+0] &wr=sb99\nEXIT"},
 		{"stg two regs", "STG [R1+R2+0], R3\nEXIT"},
+		{"immediate above 32 bits", "MOVI R1, 4294967296\nEXIT"},
+		{"immediate below 32 bits", "IADD R1, R1, -2147483649\nEXIT"},
+		{"address immediate above 32 bits", "LDG R2, [R1+4294967300] &wr=sb0\nEXIT"},
+		{"isetpi mnemonic", "ISETPI.GT P1, R1, 0\nEXIT"},
+		{"guard on bssy", "@P0 BSSY B0, x\nx:\nBSYNC B0\nEXIT"},
 	}
 	for _, c := range cases {
 		if _, err := Assemble("bad", c.src); err == nil {
@@ -200,6 +210,64 @@ func TestAssembleDisassembleRoundTrip(t *testing.T) {
 	b.Stg(1, 0, 6)
 	b.Yield()
 	progs = append(progs, b.Exit().MustBuild())
+
+	// Every opcode-table row, in each operand slot's boundary values.
+	type bounds struct {
+		r1, r2, pd, sr, bar uint8
+		imm                 int32
+		target              int
+		cmp                 CmpOp
+		pred                uint8
+		neg                 bool
+		wr, req             int8
+	}
+	for _, v := range []bounds{
+		{0, NumRegs - 1, 0, SRLaneID, 0, math.MinInt32, 0, CmpEQ, PT, false, 0, NoScoreboard},
+		{NumRegs - 1, 0, PT - 1, SRThreadID, NumBarriers - 1, math.MaxInt32, 1, CmpGE, 0, false, NumBarriers - 1, NumBarriers - 1},
+		{NumRegs - 1, 0, PT - 1, SRThreadID, NumBarriers - 1, -1, 1, CmpNE, PT - 1, true, 1, 0},
+	} {
+		for op := Opcode(0); op < numOpcodes; op++ {
+			in := MakeInstr(op)
+			for _, o := range op.operands() {
+				switch o {
+				case oRd:
+					in.Dst = v.r1
+				case oPd:
+					in.Dst, in.Cmp = v.pd, v.cmp
+				case oRa, oMem:
+					in.SrcA = v.r2
+				case oRb:
+					in.SrcB = v.r1
+				case oRc:
+					in.SrcC = v.r2
+				case oMemRb:
+					in.SrcA, in.SrcB = v.r2, v.r1
+				case oSR:
+					in.SrcA = v.sr
+				case oBar:
+					in.Barrier = v.bar
+				case oTarget:
+					in.Target = v.target
+				}
+				if o == oImm || o == oMem || o == oMemRb {
+					in.Imm = v.imm
+				}
+			}
+			if op.has(guarded) {
+				in.Pred, in.PredNeg = v.pred, v.neg
+			}
+			if op.IsLongLatency() {
+				in.WrScbd = v.wr
+			}
+			in.ReqScbd = v.req
+			p, err := Assemble(in.String(), in.String()+"\nEXIT\n")
+			if err != nil {
+				t.Errorf("%s: %v", in, err)
+			} else if p.Code[0] != in {
+				t.Errorf("%s: reassembled %+v, want %+v", in, p.Code[0], in)
+			}
+		}
+	}
 
 	for _, p := range progs {
 		again, err := Assemble(p.Name, p.Disassemble())

@@ -55,6 +55,13 @@ func (b *Builder) emit(in Instr) *Builder {
 	return b
 }
 
+// emitFixup appends in with its Target left for Build to resolve from
+// label.
+func (b *Builder) emitFixup(in Instr, label string) *Builder {
+	b.fixups = append(b.fixups, fixup{pc: len(b.code), label: label})
+	return b.emit(in)
+}
+
 // Raw appends a pre-constructed instruction verbatim.
 func (b *Builder) Raw(in Instr) *Builder { return b.emit(in) }
 
@@ -211,8 +218,7 @@ func (b *Builder) Bra(label string) *Builder { return b.BraP(PT, false, label) }
 func (b *Builder) BraP(pred uint8, neg bool, label string) *Builder {
 	in := MakeInstr(BRA)
 	in.Pred, in.PredNeg = pred, neg
-	b.fixups = append(b.fixups, fixup{pc: len(b.code), label: label})
-	return b.emit(in)
+	return b.emitFixup(in, label)
 }
 
 // Brx emits an indirect branch through Ra.
@@ -226,8 +232,7 @@ func (b *Builder) Brx(ra uint8) *Builder {
 func (b *Builder) Bssy(barrier uint8, label string) *Builder {
 	in := MakeInstr(BSSY)
 	in.Barrier = barrier
-	b.fixups = append(b.fixups, fixup{pc: len(b.code), label: label})
-	return b.emit(in)
+	return b.emitFixup(in, label)
 }
 
 // Bsync emits the convergence-barrier wait.

@@ -50,20 +50,8 @@ const (
 	NumExecClasses // sentinel
 )
 
-var execClassOf = [numOpcodes]ExecClass{
-	NOP: ExecNOP, MOVI: ExecMOVI, MOV: ExecMOV, S2R: ExecS2R,
-	IADD: ExecIADD, IADDI: ExecIADDI, IMUL: ExecIMUL, IMULI: ExecIMULI,
-	IAND: ExecIAND, IOR: ExecIOR, IXOR: ExecIXOR, SHL: ExecSHL, SHR: ExecSHR,
-	ISETP: ExecISETP, ISETPI: ExecISETPI,
-	FADD: ExecFADD, FMUL: ExecFMUL, FFMA: ExecFFMA, MUFU: ExecMUFU,
-	LDG: ExecLOAD, TLD: ExecLOAD, TEX: ExecLOAD,
-	STG: ExecSTG, TRACE: ExecTRACE,
-	BRA: ExecBRA, BRX: ExecBRX, BSSY: ExecBSSY, BSYNC: ExecBSYNC,
-	YIELD: ExecYIELD, EXIT: ExecEXIT,
-}
-
 // ExecClassOf returns the dispatch class for an opcode.
-func ExecClassOf(op Opcode) ExecClass { return execClassOf[op] }
+func ExecClassOf(op Opcode) ExecClass { return opTable[op].exec }
 
 // COp is one pre-decoded operation. It carries everything the
 // execution arms read, already widened/masked so the per-cycle path
@@ -138,36 +126,6 @@ type Compiled struct {
 	FFLenYieldInert []int32
 }
 
-// ffSimple reports whether an instruction is fast-forward-simple: its
-// execution writes only thread-private registers/predicates (or a
-// convergence-barrier register, for BSSY), cannot stall at issue, and
-// emits no events. yieldInert additionally admits YIELD for
-// configurations where the hint has no effect.
-func ffSimple(in Instr, yieldInert bool) bool {
-	if in.ReqScbd != NoScoreboard {
-		return false
-	}
-	switch in.Op {
-	case NOP, MOVI, MOV, S2R, IADD, IADDI, IMUL, IMULI, IAND, IOR, IXOR,
-		SHL, SHR, ISETP, ISETPI, FADD, FMUL, FFMA, MUFU, BSSY:
-		return true
-	case YIELD:
-		return yieldInert
-	}
-	return false
-}
-
-// interiorBranch reports whether the op transfers or terminates
-// control flow, which a block's interior must be free of for both the
-// NoBranchUntilEnd flag and (together with YIELD) the Convergent flag.
-func interiorBranch(op Opcode) bool {
-	switch op {
-	case BRA, BRX, BSYNC, EXIT:
-		return true
-	}
-	return false
-}
-
 func compile(p *Program) *Compiled {
 	n := len(p.Code)
 	c := &Compiled{
@@ -179,7 +137,7 @@ func compile(p *Program) *Compiled {
 
 	for pc, in := range p.Code {
 		c.Ops[pc] = COp{
-			Exec:    execClassOf[in.Op],
+			Exec:    opTable[in.Op].exec,
 			Op:      in.Op,
 			Dst:     in.Dst,
 			SrcA:    in.SrcA,
@@ -199,14 +157,17 @@ func compile(p *Program) *Compiled {
 	}
 
 	// Run lengths, computed backwards so each PC extends its successor.
+	// A scoreboard wait can stall issue, so it ends a run.
 	for pc := n - 1; pc >= 0; pc-- {
-		if ffSimple(p.Code[pc], false) {
+		in := p.Code[pc]
+		simple := in.ReqScbd == NoScoreboard && in.Op.has(ffSimple)
+		if simple {
 			c.FFLen[pc] = 1
 			if pc+1 < n {
 				c.FFLen[pc] += c.FFLen[pc+1]
 			}
 		}
-		if ffSimple(p.Code[pc], true) {
+		if simple || (in.ReqScbd == NoScoreboard && in.Op == YIELD) {
 			c.FFLenYieldInert[pc] = 1
 			if pc+1 < n {
 				c.FFLenYieldInert[pc] += c.FFLenYieldInert[pc+1]
@@ -222,18 +183,11 @@ func compile(p *Program) *Compiled {
 		leader[0] = true
 	}
 	for pc, in := range p.Code {
-		switch in.Op {
-		case BRA, BSSY:
-			if in.Target >= 0 && in.Target < n {
-				leader[in.Target] = true
-			}
-			if in.Op == BRA && pc+1 < n {
-				leader[pc+1] = true
-			}
-		case BRX, BSYNC, EXIT:
-			if pc+1 < n {
-				leader[pc+1] = true
-			}
+		if in.Op.takes(oTarget) && in.Target >= 0 && in.Target < n {
+			leader[in.Target] = true
+		}
+		if in.Op.has(branch) && pc+1 < n {
+			leader[pc+1] = true
 		}
 	}
 	for start := 0; start < n; {
@@ -252,15 +206,14 @@ func compile(p *Program) *Compiled {
 		for pc := start; pc < end; pc++ {
 			in := p.Code[pc]
 			interior := pc < end-1
-			if interior && interiorBranch(in.Op) {
+			if interior && in.Op.has(branch) {
 				bb.NoBranchUntilEnd = false
 				bb.Convergent = false
 			}
 			if interior && in.Op == YIELD {
 				bb.Convergent = false
 			}
-			switch in.Op {
-			case LDG, STG, TLD, TEX, TRACE:
+			if in.Op.has(memory) {
 				bb.NoMemory = false
 			}
 			if in.WrScbd != NoScoreboard || in.ReqScbd != NoScoreboard {

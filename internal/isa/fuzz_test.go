@@ -16,7 +16,7 @@ func FuzzAssemble(f *testing.F) {
 	f.Add("S2R R0, SR0\nSHL R1, R0, 7\nLDG R2, [R1+0] &wr=sb0\nIADD R3, R2, R2 &req=sb0\nEXIT\n")
 	f.Add("start:\nISETP.LT P0, R0, 16\nBSSY B0, join\n@P0 BRA start\njoin:\nBSYNC B0\nEXIT\n")
 	f.Add("TLD R4, [R1+8] &wr=sb1\nTEX R5, [R1+R2+4] &wr=sb2\nTRACE R6, R5 &wr=sb3\nMUFU R7, R6 &req=sb3\nEXIT\n")
-	f.Add("loop:\nIADDI R1, R1, -1\nISETPI.GT P1, R1, 0\n@P1 BRA loop\nSTG [R0+0], R1\nYIELD\nEXIT\n")
+	f.Add("loop:\nIADDI R1, R1, -1\nISETP.GT P1, R1, 0\n@P1 BRA loop\nSTG [R0+0], R1\nYIELD\nEXIT\n")
 	f.Add("# comment\nNOP // trailing\nBRX R2\nEXIT\n")
 
 	f.Fuzz(func(t *testing.T, src string) {

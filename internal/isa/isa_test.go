@@ -25,14 +25,6 @@ func TestOpcodeClassification(t *testing.T) {
 	if LDG.IsTexPath() || TRACE.IsTexPath() {
 		t.Error("LDG/TRACE must be on the LSU writeback path")
 	}
-	for _, op := range []Opcode{BRA, BRX, BSSY, BSYNC, EXIT} {
-		if !op.IsControl() {
-			t.Errorf("%v should be control", op)
-		}
-	}
-	if IADD.IsControl() || LDG.IsControl() {
-		t.Error("IADD/LDG must not be control")
-	}
 	if !LDG.WritesReg() || !TRACE.WritesReg() || !MOVI.WritesReg() {
 		t.Error("register-writing ops misclassified")
 	}
@@ -204,6 +196,7 @@ func TestValidateRejections(t *testing.T) {
 		{"barrier range", func() Instr { i := MakeInstr(BSYNC); i.Barrier = NumBarriers; return i }()},
 		{"wr on math", func() Instr { i := MakeInstr(IADD); i.WrScbd = 2; return i }()},
 		{"load missing wr", MakeInstr(LDG)},
+		{"trace dst out of range", func() Instr { i := MakeInstr(TRACE); i.Dst, i.WrScbd = 200, 0; return i }()},
 		{"req out of range", func() Instr { i := MakeInstr(IADD); i.ReqScbd = 16; return i }()},
 	}
 	for _, c := range cases {

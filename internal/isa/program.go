@@ -90,35 +90,36 @@ func (p *Program) validateInstr(pc int, in Instr) error {
 	if !in.Op.Valid() {
 		return fail("undefined opcode")
 	}
-	if in.Op.WritesReg() && in.Op != TRACE {
-		if int(in.Dst) >= NumRegs {
-			return fail("dst R%d out of range", in.Dst)
+	for _, o := range in.Op.operands() {
+		switch o {
+		case oRd:
+			if int(in.Dst) >= NumRegs {
+				return fail("dst R%d out of range", in.Dst)
+			}
+		case oPd:
+			if int(in.Dst) >= NumPreds {
+				return fail("dst P%d out of range", in.Dst)
+			}
+			if in.Dst == PT {
+				return fail("cannot write PT")
+			}
+		case oBar:
+			if int(in.Barrier) >= NumBarriers {
+				return fail("barrier B%d out of range", in.Barrier)
+			}
+		case oTarget:
+			if in.Target < 0 || in.Target >= len(p.Code) {
+				return fail("target %d out of range", in.Target)
+			}
 		}
 	}
-	if in.Op == ISETP || in.Op == ISETPI {
-		if int(in.Dst) >= NumPreds {
-			return fail("dst P%d out of range", in.Dst)
-		}
-		if in.Dst == PT {
-			return fail("cannot write PT")
-		}
-	}
+	// Unused source fields are checked too: hand-built programs must not
+	// carry out-of-range indices anywhere.
 	if int(in.SrcA) >= NumRegs || int(in.SrcB) >= NumRegs || int(in.SrcC) >= NumRegs {
 		return fail("source register out of range")
 	}
 	if int(in.Pred) >= NumPreds {
 		return fail("predicate P%d out of range", in.Pred)
-	}
-	switch in.Op {
-	case BRA, BSSY:
-		if in.Target < 0 || in.Target >= len(p.Code) {
-			return fail("target %d out of range", in.Target)
-		}
-	}
-	if in.Op == BSSY || in.Op == BSYNC {
-		if int(in.Barrier) >= NumBarriers {
-			return fail("barrier B%d out of range", in.Barrier)
-		}
 	}
 	if in.WrScbd != NoScoreboard {
 		if !in.Op.IsLongLatency() {
@@ -127,7 +128,7 @@ func (p *Program) validateInstr(pc int, in Instr) error {
 		if in.WrScbd < 0 || int(in.WrScbd) >= NumBarriers {
 			return fail("&wr=sb%d out of range", in.WrScbd)
 		}
-	} else if in.Op.IsLongLatency() && in.Op != STG {
+	} else if in.Op.IsLongLatency() {
 		return fail("long-latency op missing &wr scoreboard")
 	}
 	if in.ReqScbd != NoScoreboard && (in.ReqScbd < 0 || int(in.ReqScbd) >= NumBarriers) {

@@ -102,12 +102,6 @@ func ParseCompile(name string) (bool, error) {
 	}
 }
 
-// ParsePolicy maps a CLI/API scheduler-policy name onto the config
-// constant. The empty string means "default" and parses as LRR.
-func ParsePolicy(name string) (config.SchedPolicy, error) {
-	return config.ParseSchedPolicy(name)
-}
-
 // workloadCount counts how many of the three workload selectors the
 // spec sets; exactly one must be.
 func (j JobSpec) workloadCount() int {
@@ -157,7 +151,7 @@ func (j JobSpec) Validate() error {
 	if _, err := ParseTrigger(j.Trigger); err != nil {
 		return err
 	}
-	if _, err := ParsePolicy(j.Policy); err != nil {
+	if _, err := config.ParseSchedPolicy(j.Policy); err != nil {
 		return err
 	}
 	if _, err := ParseOrder(j.Order); err != nil {
@@ -184,7 +178,7 @@ func (j JobSpec) Config() (config.Config, error) {
 	}
 	order, _ := ParseOrder(j.Order)
 	cfg.Order = order
-	policy, _ := ParsePolicy(j.Policy)
+	policy, _ := config.ParseSchedPolicy(j.Policy)
 	cfg.SchedPolicy = policy
 	compiled, _ := ParseCompile(j.Compile)
 	cfg.Compiled = compiled

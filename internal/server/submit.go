@@ -113,7 +113,7 @@ func (sp SubmitSpec) Validate() error {
 	if _, err := ParseTrigger(sp.Trigger); err != nil {
 		return err
 	}
-	if _, err := ParsePolicy(sp.Policy); err != nil {
+	if _, err := config.ParseSchedPolicy(sp.Policy); err != nil {
 		return err
 	}
 	if _, err := ParseOrder(sp.Order); err != nil {
@@ -134,7 +134,7 @@ func (sp SubmitSpec) Config() (config.Config, error) {
 	}
 	order, _ := ParseOrder(sp.Order)
 	cfg.Order = order
-	policy, _ := ParsePolicy(sp.Policy)
+	policy, _ := config.ParseSchedPolicy(sp.Policy)
 	cfg.SchedPolicy = policy
 	compiled, _ := ParseCompile(sp.Compile)
 	cfg.Compiled = compiled
