@@ -14,6 +14,9 @@ import (
 	"testing"
 
 	"subwarpsim/internal/experiments"
+	"subwarpsim/internal/rtcore"
+	"subwarpsim/internal/server"
+	"subwarpsim/internal/workload"
 )
 
 func benchExperiment(b *testing.B, id string, metrics map[string]string) {
@@ -118,6 +121,7 @@ func BenchmarkYieldAblation(b *testing.B) {
 // and BVH construction happen with the timer stopped, so the reported
 // rate covers simulation alone (benchjson derives
 // sim_cycles_per_wall_second from the sim-cycles/op metric and ns/op).
+// Each op traces its rays into an empty hit table (coldHits).
 func BenchmarkSimulationRate(b *testing.B) {
 	app, err := Application("Ctrl")
 	if err != nil {
@@ -132,6 +136,7 @@ func BenchmarkSimulationRate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		coldHits(k, nil)
 		b.StartTimer()
 		res, err := Run(DefaultConfig(), k)
 		if err != nil {
@@ -220,8 +225,118 @@ func BenchmarkGPURunBFS(b *testing.B) { benchGenerator(b, "bfs") }
 // texture-path loads interleaved with ALU work.
 func BenchmarkGPURunTexture(b *testing.B) { benchGenerator(b, "texture") }
 
+// coldMixDeck returns one 100-job pass of the serving benchmark's
+// jobs-cold mix: every app under base, SI, SI and DWS (40 jobs), every
+// generator family under three base, four SI and three DWS runs (30)
+// and every microbenchmark size under base, three SI and DWS (30),
+// interleaved in ten rounds of 4 app, 3 generator and 3 microbenchmark
+// jobs. The per-job knobs cycle deterministically over the same ranges
+// the serving benchmark draws from.
+func coldMixDeck() []server.JobSpec {
+	type slot struct {
+		spec server.JobSpec
+		mode string
+	}
+	var apps, gens, micros []slot
+	for _, mode := range []string{"base", "si", "si", "dws"} {
+		for _, name := range workload.AppNames() {
+			apps = append(apps, slot{server.JobSpec{App: name}, mode})
+		}
+	}
+	for _, mode := range []string{"base", "base", "base", "si", "si", "si", "si", "dws", "dws", "dws"} {
+		for _, name := range workload.GeneratorNames() {
+			gens = append(gens, slot{server.JobSpec{Workload: name}, mode})
+		}
+	}
+	for _, mode := range []string{"base", "si", "si", "si", "dws"} {
+		for _, size := range []int{1, 2, 4, 8, 16, 32} {
+			micros = append(micros, slot{server.JobSpec{Microbench: size}, mode})
+		}
+	}
+	var deck []server.JobSpec
+	for r := 0; r < 10; r++ {
+		round := append(append(append([]slot(nil), apps[4*r:4*r+4]...), gens[3*r:3*r+3]...), micros[3*r:3*r+3]...)
+		for _, sl := range round {
+			i, sp := len(deck), sl.spec
+			switch sl.mode {
+			case "si":
+				sp.SI = true
+				sp.Trigger = []string{"any", "half", "all"}[i%3]
+				sp.Yield = i%2 == 0
+			case "dws":
+				sp.DWS = true
+			}
+			sp.Policy = []string{"lrr", "gto", "wasp"}[i/3%3]
+			sp.WarpSlots = []int{4, 8}[i/2%2]
+			sp.LatencyCycles = 500 + i*37%201
+			deck = append(deck, sp)
+		}
+	}
+	return deck
+}
+
+// coldHits swaps a megakernel's process-wide hit table for a fresh,
+// empty one, so a benchmark op traces its rays as the process's first
+// job of that scene does, whatever earlier ops and benchmarks in the
+// process traced. Kernels whose shared tables are the same get the
+// same fresh table through fresh, which may be nil when nothing is to
+// be shared.
+func coldHits(k *Kernel, fresh map[*rtcore.HitTable]*rtcore.HitTable) {
+	if k.Hits == nil {
+		return
+	}
+	t, ok := fresh[k.Hits]
+	if !ok {
+		t = rtcore.NewHitTable(k.BVH, k.Hits.Len())
+		if fresh != nil {
+			fresh[k.Hits] = t
+		}
+	}
+	k.Hits = t
+}
+
+// BenchmarkGPURunColdMix times what a stream of distinct /v1/jobs
+// requests costs below the HTTP layer: one op is one pass of
+// coldMixDeck, each job building its kernel (inside the timer, as a
+// cold job pays for it) and simulating all its SMs on one goroutine. It
+// reports warp-instructions simulated per wall second, the serving
+// benchmark's sim_warp_instrs_per_s without the server around it. The
+// jobs of one op share hit tables as a server process does, but every
+// op starts from empty tables, so each op does the same work.
+func BenchmarkGPURunColdMix(b *testing.B) {
+	deck := coldMixDeck()
+	cfgs := make([]Config, len(deck))
+	for i, sp := range deck {
+		cfg, err := sp.Config()
+		if err != nil {
+			b.Fatalf("%+v: %v", sp, err)
+		}
+		cfgs[i] = cfg
+	}
+	var instrs int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := make(map[*rtcore.HitTable]*rtcore.HitTable)
+		for j, sp := range deck {
+			k, err := sp.BuildKernel()
+			if err != nil {
+				b.Fatal(err)
+			}
+			coldHits(k, fresh)
+			res, err := RunWorkers(cfgs[j], k, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			instrs += res.Counters.IssuedInstrs
+		}
+	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "warp-instrs/s")
+}
+
 // benchGPURun measures one whole-device simulation at a fixed worker
 // count, on an 8-SM device so SM-level parallelism has work to spread.
+// Each op traces its rays into an empty hit table (coldHits), so the
+// parallel run does not read what the sequential one traced.
 func benchGPURun(b *testing.B, workers int) {
 	app, err := Application("Ctrl")
 	if err != nil {
@@ -235,6 +350,7 @@ func benchGPURun(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		coldHits(k, nil)
 		if _, err := RunWorkers(cfg, k, workers); err != nil {
 			b.Fatal(err)
 		}

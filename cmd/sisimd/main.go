@@ -41,6 +41,32 @@ import (
 	"subwarpsim/internal/sm"
 )
 
+// Connection timeouts bound what a slow or idle client can hold open
+// (slowloris): the request headers must arrive within
+// readHeaderTimeout, the whole request (headers and body) within
+// readTimeout, and an idle keep-alive connection is closed after
+// idleTimeout. readTimeout does not bound the job: net/http clears the
+// read deadline once the handler has read the body to its end, so the
+// request context outlives it. There is deliberately no WriteTimeout: a
+// response is written when its job finishes, which may legitimately
+// take up to the server's maximum job timeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server for h, with the
+// connection timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "sisimd:", err)
 	os.Exit(1)
@@ -249,7 +275,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
 	}
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := newHTTPServer(handler)
 
 	// The smoke test and scripts parse this line for the bound port.
 	fmt.Printf("sisimd listening on %s\n", ln.Addr())

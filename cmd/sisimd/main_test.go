@@ -3,10 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -17,7 +19,9 @@ import (
 	"testing"
 	"time"
 
+	"subwarpsim/internal/faults"
 	"subwarpsim/internal/obs"
+	"subwarpsim/internal/server"
 )
 
 // buildDaemon compiles the sisimd binary into a test temp dir.
@@ -855,5 +859,120 @@ func TestDaemonVersionFlag(t *testing.T) {
 	line := strings.TrimSpace(string(out))
 	if !strings.HasPrefix(line, "sisimd ") || !strings.Contains(line, "go1.") {
 		t.Errorf("-version output %q, want 'sisimd ... (go1...)'", line)
+	}
+}
+
+// TestDaemonSlowClientDisconnected: a client trickling its request
+// headers one byte at a time is cut off once readHeaderTimeout passes,
+// and the daemon keeps serving other clients meanwhile and afterwards.
+func TestDaemonSlowClientDisconnected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon binary")
+	}
+	bin := buildDaemon(t)
+	base := startDaemon(t, bin)
+
+	healthy := func(when string) {
+		t.Helper()
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			t.Fatalf("%s: /healthz: %v", when, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: /healthz = %d", when, resp.StatusCode)
+		}
+	}
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	closed := make(chan error, 1)
+	go func() {
+		_, err := conn.Read(make([]byte, 1))
+		closed <- err
+	}()
+	// The header never ends: every byte arrives well inside any
+	// per-read timeout, but the whole header never completes.
+	trickle := []byte("GET /healthz HTTP/1.1\r\nHost: sisimd\r\nX-Slow: " + strings.Repeat("a", 1000))
+	tick := time.NewTicker(100 * time.Millisecond)
+	defer tick.Stop()
+	limit := time.After(readHeaderTimeout + 10*time.Second)
+	for i := 0; ; i++ {
+		select {
+		case err := <-closed:
+			if elapsed := time.Since(start); elapsed < readHeaderTimeout {
+				t.Fatalf("connection ended after %v (%v), before the %v header timeout",
+					elapsed, err, readHeaderTimeout)
+			}
+			healthy("after the slow client")
+			return
+		case <-limit:
+			t.Fatalf("slow client still connected after %v", time.Since(start))
+		case <-tick.C:
+			if i == 10 {
+				healthy("during the slow client")
+			}
+			if i < len(trickle) {
+				// A write may fail once the server has closed; the read
+				// above reports the close.
+				conn.Write(trickle[i : i+1])
+			}
+		}
+	}
+}
+
+// TestHTTPServerLongJobOutlivesReadTimeout: jobs that run past the
+// daemon server's read deadline still complete with 200. The real
+// handler serves them over TCP with the delay injected in server.exec;
+// ReadTimeout is shortened so the test is quick. Both body framings
+// are covered: with a Content-Length the handler's decode reaches the
+// body's end, and a chunked body is decoded without reading its
+// terminator. A read deadline left armed while the handler runs would
+// cancel the request context and fail the jobs with 408.
+func TestHTTPServerLongJobOutlivesReadTimeout(t *testing.T) {
+	const delay = 1500 * time.Millisecond
+	inj, err := faults.Parse(fmt.Sprintf("server.exec=latency(d=%s,n=2)", delay))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Options{Workers: 2, Faults: inj})
+	hs := newHTTPServer(srv.Handler())
+	hs.ReadTimeout = delay / 3
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Drain(context.Background())
+	})
+
+	bodies := map[string]io.Reader{
+		"content-length": strings.NewReader(`{"microbench":1}`),
+		"chunked":        io.MultiReader(strings.NewReader(`{"microbench":2}`)),
+	}
+	for name, body := range bodies {
+		start := time.Now()
+		resp, err := http.Post("http://"+ln.Addr().String()+"/v1/jobs", "application/json", body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var res map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&res)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if resp.StatusCode != http.StatusOK || res["counters"] == nil {
+			t.Fatalf("%s: long job = %d %v, want 200 with counters", name, resp.StatusCode, res)
+		}
+		if elapsed := time.Since(start); elapsed < delay {
+			t.Fatalf("%s: job returned after %v, before the injected %v delay", name, elapsed, delay)
+		}
 	}
 }

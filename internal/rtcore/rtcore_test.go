@@ -247,31 +247,103 @@ func TestCoreLatencyAndMemo(t *testing.T) {
 		}
 		return NewRay(V(0, 0, 0), V(0, 0, -1)) // miss
 	}
-	core := NewCore(bvh, gen, 200, 24)
-	hit, lat := core.Trace(0)
-	if !hit.Ok || hit.Material != 2 {
-		t.Fatalf("trace 0: %+v", hit)
+	table := NewHitTable(bvh, 2)
+	if table == nil || table.Len() != 2 {
+		t.Fatalf("NewHitTable = %v", table)
 	}
-	if lat != 200+24*int64(hit.Steps) {
-		t.Errorf("latency = %d, want base+steps*per", lat)
+	for _, tc := range []struct {
+		name  string
+		table *HitTable
+	}{{"direct", nil}, {"table", table}} {
+		core := NewCore(bvh, gen, tc.table, 200, 24)
+		mat, steps, lat := core.Trace(0)
+		want := bvh.Traverse(gen(0), 1e-4, InfinityT)
+		if mat != 2 || steps != want.Steps {
+			t.Fatalf("%s: trace 0 = (%d, %d), want (2, %d)", tc.name, mat, steps, want.Steps)
+		}
+		if lat != 200+24*int64(steps) {
+			t.Errorf("%s: latency = %d, want base+steps*per", tc.name, lat)
+		}
+		if mat, _, _ := core.Trace(1); mat != MissMaterial {
+			t.Fatalf("%s: trace 1 material = %d, want miss", tc.name, mat)
+		}
+		// Repeated traces (from the table's slot once it is filled)
+		// return the same result.
+		mat2, steps2, lat2 := core.Trace(0)
+		if mat2 != mat || steps2 != steps || lat2 != lat {
+			t.Errorf("%s: repeated trace differs", tc.name)
+		}
 	}
-	miss, _ := core.Trace(1)
-	if miss.Ok || miss.Material != MissMaterial+0 && miss.Material != -1 {
-		t.Fatalf("trace 1 should miss: %+v", miss)
+}
+
+// The table traverses each in-range ray once, across every Core that
+// shares it; IDs beyond the table fall back to direct traversal every
+// time, with the same results.
+func TestHitTableSharedAndOutOfRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	bvh := BuildBVH(randomScene(rng, 200))
+	calls := map[uint32]int{}
+	gen := func(id uint32) Ray {
+		calls[id]++
+		h := float32(id%97) / 97
+		return NewRay(V(h*10-5, -5, -20), V(0.01*float32(id%13), 0.02, 1))
 	}
-	// Memoized: same result object, counters still advance.
-	hit2, lat2 := core.Trace(0)
-	if hit2 != hit || lat2 != lat {
-		t.Error("memoized trace differs")
+	const inRange = 64
+	table := NewHitTable(bvh, inRange)
+	a := NewCore(bvh, gen, table, 100, 7)
+	b := NewCore(bvh, gen, table, 100, 7)
+	for _, id := range []uint32{0, 1, 63, 64, 65, 1 << 20, math.MaxUint32} {
+		want := bvh.Traverse(gen(id), 1e-4, InfinityT)
+		calls[id] = 0
+		for _, core := range []*Core{a, b, a} {
+			mat, steps, lat := core.Trace(id)
+			if mat != want.Material || steps != want.Steps || lat != 100+7*int64(want.Steps) {
+				t.Fatalf("ray %d: got (%d, %d, %d), want %+v", id, mat, steps, lat, want)
+			}
+		}
+		wantCalls := 3
+		if id < inRange {
+			wantCalls = 1
+		}
+		if calls[id] != wantCalls {
+			t.Errorf("ray %d generated %d times, want %d", id, calls[id], wantCalls)
+		}
 	}
-	if core.Traces() != 3 {
-		t.Errorf("Traces = %d, want 3", core.Traces())
+	if table.Len() != inRange {
+		t.Errorf("table grew to %d slots", table.Len())
 	}
-	if core.TotalSteps() <= 0 {
-		t.Error("TotalSteps should accumulate")
+}
+
+func TestNewHitTableGuards(t *testing.T) {
+	tri := func(m int) Triangle {
+		return Triangle{V0: V(-1, -1, 5), V1: V(1, -1, 5), V2: V(0, 1, 5), Material: m}
 	}
-	if core.BVH() != bvh {
-		t.Error("BVH accessor")
+	cases := []struct {
+		name string
+		bvh  *BVH
+		rays int
+		ok   bool
+	}{
+		{"empty scene", BuildBVH(nil), 4, true},
+		{"max material", BuildBVH([]Triangle{tri(maxPackedMaterial)}), 4, true},
+		{"material too large", BuildBVH([]Triangle{tri(maxPackedMaterial + 1)}), 4, false},
+		{"negative material", BuildBVH([]Triangle{tri(-1)}), 4, false},
+		{"no rays", BuildBVH([]Triangle{tri(0)}), 0, false},
+	}
+	gen := func(uint32) Ray { return NewRay(V(0, 0, 0), V(0, 0, 1)) }
+	for _, c := range cases {
+		table := NewHitTable(c.bvh, c.rays)
+		if got := table != nil; got != c.ok {
+			t.Errorf("%s: table built = %v, want %v", c.name, got, c.ok)
+		}
+		if table == nil {
+			continue
+		}
+		// Whatever the guard admits round-trips through the packing.
+		want := c.bvh.Traverse(gen(0), 1e-4, InfinityT)
+		if mat, steps, _ := NewCore(c.bvh, gen, table, 0, 1).Trace(0); mat != want.Material || steps != want.Steps {
+			t.Errorf("%s: packed trace = (%d, %d), want %+v", c.name, mat, steps, want)
+		}
 	}
 }
 

@@ -270,19 +270,16 @@ func (b *Block) executeTrace(w *Warp, in isa.Instr, now int64) {
 	for it := mask; !it.Empty(); it = it.DropLowest() {
 		l := it.Lowest()
 		rayID := w.regs[l][in.SrcA]
-		hit, lat := b.sm.rt.Trace(rayID)
+		material, steps, lat := b.sm.rt.Trace(rayID)
 		b.counters.RTTraces++
-		b.counters.RTTraversalSteps += int64(hit.Steps)
+		b.counters.RTTraversalSteps += int64(steps)
 		if lat > maxLat {
 			maxLat = lat
 		}
-		val := uint32(0) // miss
-		if hit.Ok {
-			val = uint32(hit.Material + 1)
-		}
+		// The hit record is material+1, so a miss (MissMaterial) writes 0.
 		b.events.push(wbEvent{
 			at: now + lat, warp: w, lane: l,
-			reg: in.Dst, sbid: in.WrScbd, kind: wbTrace, val: val,
+			reg: in.Dst, sbid: in.WrScbd, kind: wbTrace, val: uint32(material + 1),
 		})
 	}
 	if b.rec != nil {

@@ -31,6 +31,10 @@ type Kernel struct {
 	// TRACE.
 	BVH    *rtcore.BVH
 	RayGen rtcore.RayGen
+	// Hits, when non-nil, is the traversal memo shared by every SM's RT
+	// core; it must come from the same BVH and RayGen inputs (see
+	// rtcore.HitTable). Nil traverses every ray directly.
+	Hits *rtcore.HitTable
 	// Budget, when non-nil, gas-meters the launch: each SM independently
 	// enforces the limits and kills the run with a *BudgetError at a
 	// deterministic point (see Budget). Nil means unmetered.
@@ -138,7 +142,7 @@ func NewSM(id int, cfg config.Config, kernel *Kernel) (*SM, error) {
 		s.budget = kernel.Budget
 	}
 	if kernel.BVH != nil && kernel.RayGen != nil {
-		s.rt = rtcore.NewCore(kernel.BVH, kernel.RayGen,
+		s.rt = rtcore.NewCore(kernel.BVH, kernel.RayGen, kernel.Hits,
 			int64(cfg.RTBaseLatency), int64(cfg.RTStepLatency))
 	}
 	if cfg.Compiled {

@@ -2,9 +2,11 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"subwarpsim/internal/isa"
 	"subwarpsim/internal/mem"
+	"subwarpsim/internal/rtcore"
 	"subwarpsim/internal/scene"
 	"subwarpsim/internal/sm"
 )
@@ -215,7 +217,63 @@ func Megakernel(p AppProfile) (*sm.Kernel, error) {
 		Memory:      mem.NewMemory(),
 		BVH:         sc.BVH,
 		RayGen:      sc.RayGen(cam),
+		Hits:        sharedHitTable(hitKey{sc.Params, camW, camH}, camW*camH*p.Iterations, sc.BVH),
 	}, nil
+}
+
+// hitKey is everything that fixes a megakernel's BVH and ray generator:
+// the scene inputs and the camera raster (the generator's pixel count
+// and view). The generator maps an ID to the same ray whatever the
+// bounce count, so kernels that differ only in Iterations share one
+// table, sized for the longest ID range seen.
+type hitKey struct {
+	scene      scene.Params
+	camW, camH int
+}
+
+// hitIndexMaxSlots bounds the traversal memo the process retains, at 4
+// bytes a slot. A table larger than the bound is never built (its
+// kernel traverses every ray directly); an index that would outgrow it
+// resets wholesale, like the cluster coordinator's keyMemo.
+const hitIndexMaxSlots = 1 << 21
+
+// hitIndex shares one rtcore.HitTable per hitKey across every kernel
+// the process builds, so each ray is traversed once per process rather
+// than once per run.
+var hitIndex struct {
+	sync.Mutex
+	tables map[hitKey]*rtcore.HitTable
+	slots  int
+}
+
+// sharedHitTable returns the process-wide table for k covering at least
+// ray IDs [0, rays), creating it over bvh (which k must fix) on first
+// use and replacing a shorter one. It returns nil when rays is over the
+// bound or bvh's results do not pack.
+func sharedHitTable(k hitKey, rays int, bvh *rtcore.BVH) *rtcore.HitTable {
+	if rays <= 0 || rays > hitIndexMaxSlots {
+		return nil
+	}
+	hitIndex.Lock()
+	defer hitIndex.Unlock()
+	old, ok := hitIndex.tables[k]
+	if ok && old.Len() >= rays {
+		return old
+	}
+	t := rtcore.NewHitTable(bvh, rays)
+	if t == nil {
+		return nil
+	}
+	if ok {
+		hitIndex.slots -= old.Len()
+	}
+	if hitIndex.tables == nil || hitIndex.slots+rays > hitIndexMaxSlots {
+		hitIndex.tables = make(map[hitKey]*rtcore.HitTable)
+		hitIndex.slots = 0
+	}
+	hitIndex.tables[k] = t
+	hitIndex.slots += rays
+	return t
 }
 
 // emitScatterLoad emits address computation plus a load into R7 from a

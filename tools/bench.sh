@@ -20,10 +20,12 @@ count="${BENCHCOUNT:-1}"
 # The tracked set: whole-device throughput (the 1.4x acceptance
 # number), the simulated-cycle rate, the three synthetic workload
 # families (regular GEMM, irregular BFS, mixed-latency texture), and
-# the zero-alloc hot-loop microbenchmarks. Figure-regeneration
+# the zero-alloc hot-loop microbenchmarks. GPURunColdMix is the serving
+# benchmark's jobs-cold kernel mix without the server: kernel builds
+# plus simulation, reported as warp-instrs/s. Figure-regeneration
 # benchmarks stay out — they are experiment drivers, not perf
 # regressions trackers.
-pat='BenchmarkGPURunSequential|BenchmarkGPURunCompiled|BenchmarkGPURunInterpreted|BenchmarkGPURunGEMM|BenchmarkGPURunBFS|BenchmarkGPURunTexture|BenchmarkSimulationRate'
+pat='BenchmarkGPURunSequential|BenchmarkGPURunCompiled|BenchmarkGPURunInterpreted|BenchmarkGPURunGEMM|BenchmarkGPURunBFS|BenchmarkGPURunTexture|BenchmarkGPURunColdMix|BenchmarkSimulationRate'
 smpat='BenchmarkBlockStep|BenchmarkExecuteLoad'
 # The cluster sweep pair is the PR 10 acceptance number: the same
 # 24-key matrix sweep through a coordinator with 1 worker vs 3, where

@@ -96,13 +96,16 @@ go test -count=1 -run 'TestDaemonSubmitSandbox' -timeout 10m ./cmd/sisimd
 go test -count=1 -run 'TestCLISubmitSamples|TestCLISubmitSandbox' ./cmd/sisim
 
 echo "== fuzz gate =="
-# Time-boxed fuzzing of the two entry points untrusted text reaches:
+# Time-boxed fuzzing of the two entry points untrusted text reaches,
 # FuzzAssemble (the table-driven parser and printer must reach a
 # disassembly fixed point) and FuzzAdmission (an admitted program never
-# panics either engine). A crasher is written under the package's
-# testdata/fuzz and is committed there as a regression seed.
+# panics either engine), plus FuzzRun (random divergent kernels must
+# stay bit-identical across engines and worker counts). A crasher is
+# written under the package's testdata/fuzz and is committed there as a
+# regression seed.
 go test -run '^$' -fuzz '^FuzzAssemble$' -fuzztime 30s ./internal/isa
 go test -run '^$' -fuzz '^FuzzAdmission$' -fuzztime 30s ./internal/admission
+go test -run '^$' -fuzz '^FuzzRun$' -fuzztime 30s ./internal/gpu
 
 echo "== chaos gate =="
 # The fault-injection suites, twice each under the race detector, with
