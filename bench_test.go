@@ -182,7 +182,7 @@ func benchEngine(b *testing.B, compiled bool) {
 func BenchmarkGPURunCompiled(b *testing.B) { benchEngine(b, true) }
 
 // BenchmarkGPURunInterpreted times the per-cycle decoding interpreter
-// (the -compile=off escape hatch) on the same workload; both engines
+// (the tests' reference engine) on the same workload; both engines
 // retire identical cycle counts, so the sim-cycles/op metrics match and
 // only wall time differs.
 func BenchmarkGPURunInterpreted(b *testing.B) { benchEngine(b, false) }

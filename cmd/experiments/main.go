@@ -29,22 +29,11 @@ func main() {
 	outPath := flag.String("o", "", "also write the combined report to this file")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
-	compile := flag.String("compile", "on", "execution engine: on (compiled, default) or off (per-cycle interpreter)")
 	policyFlag := flag.String("policy", "", "warp scheduler policy override: lrr (default), gto, wasp; the matrix experiment narrows its policy axis to this")
 	workloadFlag := flag.String("workload", "",
 		"comma-separated workload families for the matrix experiment ("+strings.Join(subwarpsim.WorkloadNames(), ", ")+"); empty means all")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
-
-	var interpret bool
-	switch strings.ToLower(*compile) {
-	case "on":
-	case "off":
-		interpret = true
-	default:
-		fmt.Fprintf(os.Stderr, "bad -compile %q (on, off)\n", *compile)
-		os.Exit(2)
-	}
 
 	policy, err := subwarpsim.ParseSchedPolicy(*policyFlag)
 	if err != nil {
@@ -98,7 +87,6 @@ func main() {
 		Quick:       *quick,
 		Workers:     w,
 		Context:     ctx,
-		Interpret:   interpret,
 		SchedPolicy: policy,
 		Workloads:   workloads,
 	}

@@ -36,6 +36,7 @@ import (
 
 	"subwarpsim"
 	"subwarpsim/internal/admission"
+	"subwarpsim/internal/config"
 	"subwarpsim/internal/faults"
 	"subwarpsim/internal/obs"
 	"subwarpsim/internal/simcache"
@@ -64,7 +65,6 @@ func main() {
 	warpSlots := flag.Int("warpslots", 8, "warp slots per processing block (2, 4, 8)")
 	maxSubwarps := flag.Int("maxsubwarps", 0, "TST entries / subwarps per warp (0 = unlimited)")
 	order := flag.String("order", "taken", "divergent path order: taken, fallthrough, largest, random")
-	compile := flag.String("compile", "on", "execution engine: on (pre-decoded stream + fast-forward) or off (per-cycle interpreter); results are bit-identical")
 	jobs := flag.Int("j", 0, "concurrent SM simulation goroutines (0 = GOMAXPROCS, 1 = sequential)")
 	listApps := flag.Bool("listapps", false, "list application traces and exit")
 	verbose := flag.Bool("v", false, "print the full counter set")
@@ -107,39 +107,15 @@ func main() {
 		fail("%v", err)
 	}
 	cfg.SchedPolicy = sched
-	switch strings.ToLower(*compile) {
-	case "on":
-		cfg.Compiled = true
-	case "off":
-		cfg.Compiled = false
-	default:
-		fail("unknown -compile %q (want on or off)", *compile)
-	}
-	switch strings.ToLower(*order) {
-	case "taken":
-		cfg.Order = subwarpsim.OrderTakenFirst
-	case "fallthrough":
-		cfg.Order = subwarpsim.OrderFallthroughFirst
-	case "largest":
-		cfg.Order = subwarpsim.OrderLargestFirst
-	case "random":
-		cfg.Order = subwarpsim.OrderRandom
-	default:
-		fail("unknown -order %q", *order)
+	if cfg.Order, err = config.ParseOrder(*order); err != nil {
+		fail("-order: %v", err)
 	}
 	if *dws {
 		cfg = cfg.WithDWS()
 	} else if *si {
-		var trig subwarpsim.SelectTrigger
-		switch strings.ToLower(*trigger) {
-		case "any":
-			trig = subwarpsim.TriggerAnyStalled
-		case "half":
-			trig = subwarpsim.TriggerHalfStalled
-		case "all":
-			trig = subwarpsim.TriggerAllStalled
-		default:
-			fail("unknown -trigger %q", *trigger)
+		trig, err := config.ParseTrigger(*trigger)
+		if err != nil {
+			fail("-trigger: %v", err)
 		}
 		cfg = cfg.WithSI(*yield, trig)
 		cfg.SI.MaxSubwarps = *maxSubwarps

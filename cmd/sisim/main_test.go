@@ -61,7 +61,6 @@ func TestCLIErrorPaths(t *testing.T) {
 		"bad trace warps":     {[]string{"-microbench", "4", "-trace", "/dev/null", "-trace-warps", "x"}, "trace-warps"},
 		"stray argument":      {[]string{"-microbench", "4", "stray"}, "stray"},
 		"tiny timeout":        {[]string{"-microbench", "4", "-timeout", "1ns"}, "cancelled"},
-		"bad compile":         {[]string{"-microbench", "4", "-compile", "maybe"}, "maybe"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			stdout, stderr, code := runCLI(t, bin, tc.args...)
@@ -198,34 +197,6 @@ func TestCLIBaselineStillRuns(t *testing.T) {
 	}
 }
 
-// TestCLICompileModesAgree: -compile=off must run the interpreter and
-// report exactly the cycle count of the default compiled engine.
-func TestCLICompileModesAgree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the CLI binary")
-	}
-	bin := buildCLI(t)
-	cycles := func(out string) string {
-		for _, line := range strings.Split(out, "\n") {
-			if strings.HasPrefix(line, "cycles") {
-				return line
-			}
-		}
-		return ""
-	}
-	comp, stderr, code := runCLI(t, bin, "-microbench", "4", "-si", "-compile", "on")
-	if code != 0 {
-		t.Fatalf("compiled run failed: %s", stderr)
-	}
-	interp, stderr, code := runCLI(t, bin, "-microbench", "4", "-si", "-compile", "off")
-	if code != 0 {
-		t.Fatalf("interpreted run failed: %s", stderr)
-	}
-	if c1, c2 := cycles(comp), cycles(interp); c1 == "" || c1 != c2 {
-		t.Errorf("engines report different cycles: %q vs %q", c1, c2)
-	}
-}
-
 // TestCLISubmitSamples: every kernel shipped in examples/submissions
 // runs end to end under -submit — through the same admission checks
 // and gas budgets the daemon applies — and reports its budget line.
@@ -275,17 +246,6 @@ func TestCLISubmitSandbox(t *testing.T) {
 		"-submit", filepath.Join(hostile, "infinite_loop.asm"), "-max-cycles", "10000")
 	if code != 1 || !strings.Contains(stderr, "budget exhausted") {
 		t.Errorf("infinite_loop: exit %d, stderr %q; want exit 1 with a budget kill", code, stderr)
-	}
-
-	// The kill point is part of the deterministic contract: both
-	// execution engines report the identical message.
-	_, interp, code := runCLI(t, bin,
-		"-submit", filepath.Join(hostile, "infinite_loop.asm"), "-max-cycles", "10000", "-compile", "off")
-	if code != 1 {
-		t.Fatalf("interpreted kill exit = %d, want 1", code)
-	}
-	if interp != stderr {
-		t.Errorf("engines disagree on the kill:\ncompiled:    %q\ninterpreted: %q", stderr, interp)
 	}
 }
 

@@ -125,7 +125,6 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "upper clamp on requested job timeouts")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown budget for in-flight jobs")
 	faultSpec := flag.String("faults", "", "deterministic fault-injection spec (overrides SISIM_FAULTS)")
-	compile := flag.String("compile", "on", "default engine for jobs that don't pick one: on (compiled) or off (interpreter)")
 	cacheRetries := flag.Int("cache-retries", 2, "retries for transient disk-cache errors (-1 disables)")
 	breakerTrip := flag.Int("breaker-trip", 5, "consecutive disk-cache failures that trip the memory-only breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a recovery probe")
@@ -163,11 +162,6 @@ func main() {
 		fail(err)
 	}
 	slog.SetDefault(logger)
-
-	compiled, err := server.ParseCompile(*compile)
-	if err != nil {
-		fail(fmt.Errorf("-compile: %w", err))
-	}
 
 	injector, err := faults.Parse(*faultSpec)
 	if err != nil {
@@ -210,7 +204,6 @@ func main() {
 		Cache:             cache,
 		Faults:            injector,
 		Obs:               observer,
-		Interpret:         !compiled,
 		TenantRate:        *tenantRate,
 		TenantBurst:       *tenantBurst,
 		TenantMaxQueued:   *tenantQueued,

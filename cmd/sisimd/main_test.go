@@ -718,51 +718,6 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestDaemonCompileFlag: a bad -compile value must fail startup with a
-// one-line error, and a daemon running interpreter-by-default
-// (-compile off) must serve jobs with exactly the counters a
-// compiled-default daemon reports — the engines are bit-identical, so
-// the flag can never change results.
-func TestDaemonCompileFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the daemon binary")
-	}
-	bin := buildDaemon(t)
-
-	out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-compile", "maybe").CombinedOutput()
-	if err == nil {
-		t.Fatal("bad -compile value must fail startup")
-	}
-	if !strings.Contains(string(out), "maybe") {
-		t.Errorf("output %q must name the bad value", out)
-	}
-
-	counters := func(base string) string {
-		t.Helper()
-		resp, err := http.Post(base+"/v1/jobs", "application/json",
-			strings.NewReader(`{"microbench":4,"si":true}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /v1/jobs = %d", resp.StatusCode)
-		}
-		var res map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-			t.Fatal(err)
-		}
-		b, _ := json.Marshal(res["counters"])
-		return string(b)
-	}
-	compiled := counters(startDaemon(t, bin))
-	interpreted := counters(startDaemon(t, bin, "-compile", "off"))
-	if compiled != interpreted {
-		t.Errorf("-compile off changed results:\n  compiled    %s\n  interpreted %s",
-			compiled, interpreted)
-	}
-}
-
 // TestDaemonMetricsExposition scrapes the live daemon in both formats:
 // the default JSON shape must keep its legacy keys plus the new latency
 // breakdowns, and Accept: text/plain must switch to Prometheus text

@@ -61,6 +61,21 @@ func (t SelectTrigger) Satisfied(stalled, live int) bool {
 	}
 }
 
+// ParseTrigger maps a CLI/API trigger name onto the config constant.
+// The empty string parses as the N>=0.5 default.
+func ParseTrigger(name string) (SelectTrigger, error) {
+	switch strings.ToLower(name) {
+	case "any":
+		return TriggerAnyStalled, nil
+	case "", "half":
+		return TriggerHalfStalled, nil
+	case "all":
+		return TriggerAllStalled, nil
+	default:
+		return 0, fmt.Errorf("unknown trigger %q (any, half, all)", name)
+	}
+}
+
 // SchedPolicy selects the warp-scheduler arbitration rule each
 // processing block uses to pick the next issuing warp. Every policy is
 // greedy on the last-issued warp (it keeps issuing while it can) and
@@ -154,6 +169,23 @@ func (o SubwarpOrder) String() string {
 	}
 }
 
+// ParseOrder maps a CLI/API order name onto the config constant. The
+// empty string parses as the taken-first default.
+func ParseOrder(name string) (SubwarpOrder, error) {
+	switch strings.ToLower(name) {
+	case "", "taken":
+		return OrderTakenFirst, nil
+	case "fallthrough":
+		return OrderFallthroughFirst, nil
+	case "largest":
+		return OrderLargestFirst, nil
+	case "random":
+		return OrderRandom, nil
+	default:
+		return 0, fmt.Errorf("unknown order %q (taken, fallthrough, largest, random)", name)
+	}
+}
+
 // SI groups the Subwarp Interleaving feature knobs.
 type SI struct {
 	// Enabled turns the subwarp scheduler on. When false the model is
@@ -216,14 +248,16 @@ type Config struct {
 	SchedPolicy SchedPolicy
 
 	// Compiled selects the execution engine, not the architecture:
-	// when true (the default) each program is lowered once into a
-	// pre-decoded operation stream and eligible straight-line
-	// convergent regions are retired in bulk (basic-block
-	// fast-forward). Results — counters, derived metrics, memory
-	// fingerprints, trace streams — are bit-identical to the
-	// interpreter (cfg.Compiled = false), which the differential and
-	// fuzz suites enforce, so like Trace and Faults it is excluded
-	// from the result-cache canonicalization.
+	// when true (the default, and the only engine the CLIs and the
+	// daemon run) each program is lowered once into a pre-decoded
+	// operation stream and eligible straight-line convergent regions
+	// are retired in bulk (basic-block fast-forward). False selects
+	// the per-cycle interpreter, kept as the independent reference
+	// the differential, golden, fuzz, budget and admission tests hold
+	// the compiled engine to: results — counters, derived metrics,
+	// memory fingerprints, trace streams — must be bit-identical, so
+	// like Trace and Faults it is excluded from the result-cache
+	// canonicalization.
 	Compiled bool
 
 	// Subwarp Interleaving.

@@ -33,12 +33,6 @@ type Options struct {
 	// in-flight runs return promptly and the experiment reports the
 	// context error. Nil means context.Background().
 	Context context.Context
-	// Interpret disables the compiled execution engine (pre-decoded
-	// streams + basic-block fast-forward) and runs every simulation on
-	// the per-cycle interpreter. Results are bit-identical either way —
-	// the golden corpus is checked in both modes — so this is a
-	// verification and debugging knob, not a result knob.
-	Interpret bool
 	// SchedPolicy overrides the warp-scheduler policy for every
 	// simulation when set to a non-LRR value (the -policy flag). The
 	// matrix experiment, which enumerates policies itself, narrows its
@@ -48,6 +42,11 @@ type Options struct {
 	// to the named generators (the -workload flag); empty means all
 	// registered families.
 	Workloads []string
+	// interpret runs every simulation on the per-cycle interpreter, the
+	// reference the compiled engine is held to: TestGoldenInterpreted
+	// checks the golden corpus on it. Results are bit-identical either
+	// way, so no command exposes it.
+	interpret bool
 }
 
 func (o Options) workers() int {
@@ -182,7 +181,7 @@ func runJobs(o Options, jobs []job) (map[string]gpu.Result, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			cfg := j.cfg
-			if o.Interpret {
+			if o.interpret {
 				cfg.Compiled = false
 			}
 			if o.SchedPolicy != config.SchedLRR {

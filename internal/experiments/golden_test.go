@@ -119,7 +119,7 @@ func TestGoldenMatrix(t *testing.T) {
 }
 
 // TestGoldenInterpreted re-derives the golden corpus on the per-cycle
-// interpreter (Options.Interpret disables the compiled engine and
+// interpreter (Options.interpret disables the compiled engine and
 // fast-forward). The same files must match in both modes: together
 // with the compiled-by-default golden tests above, this pins the
 // two engines' bit-identity on the full recorded corpus. Skipped
@@ -129,17 +129,17 @@ func TestGoldenInterpreted(t *testing.T) {
 	if *updateGolden {
 		t.Skip("corpus regeneration runs on the compiled engine")
 	}
-	r, err := Fig3(Options{Quick: true, Interpret: true})
+	r, err := Fig3(Options{Quick: true, interpret: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig3.json", r.Values)
-	r, err = Table3(Options{Quick: true, Interpret: true})
+	r, err = Table3(Options{Quick: true, interpret: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "table3.json", r.Values)
-	r, err = Matrix(Options{Quick: true, Interpret: true})
+	r, err = Matrix(Options{Quick: true, interpret: true})
 	if err != nil {
 		t.Fatal(err)
 	}

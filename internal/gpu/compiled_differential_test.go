@@ -34,7 +34,8 @@ func engineConfigs() map[string]config.Config {
 }
 
 // interpreted returns the configuration with the compiled engine
-// disabled (the -compile=off escape hatch).
+// disabled: the per-cycle interpreter, the reference these tests hold
+// the compiled engine to.
 func interpreted(cfg config.Config) config.Config {
 	cfg.Compiled = false
 	return cfg

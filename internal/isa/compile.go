@@ -2,19 +2,19 @@ package isa
 
 // The compile pass lowers a Program once into a pre-decoded operation
 // stream the simulator can replay without per-cycle decoding: opcodes
-// are resolved to dense ExecClass indices (the SM keeps a function
-// table indexed by ExecClass), operands are widened to the exact types
-// the execution arms consume (zero-extended address immediates,
-// masked shift amounts), and a basic-block map records the static
-// structure fast-forward relies on. The pass is pure analysis: it
+// are resolved to dense ExecClass indices (the SM's compiled dispatch
+// switches on them), operands are widened to the exact types the
+// execution arms consume (zero-extended address immediates, masked
+// shift amounts), and a basic-block map records the static structure
+// fast-forward relies on. The pass is pure analysis: it
 // never changes architectural semantics, and the simulator's compiled
 // mode is required (and tested) to be bit-identical to the
 // interpreter.
 
-// ExecClass indexes the SM's compiled-dispatch function table. Every
-// opcode maps to exactly one class; the three texture/global load
-// flavors share ExecLOAD because the SM's load path dispatches on the
-// original opcode it keeps in COp.Op.
+// ExecClass is the SM's compiled-dispatch key. Every opcode maps to
+// exactly one class; the three texture/global load flavors share
+// ExecLOAD because the SM's load path dispatches on the original
+// opcode it keeps in COp.Op.
 type ExecClass uint8
 
 const (

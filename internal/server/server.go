@@ -65,12 +65,6 @@ type Options struct {
 	// with a discard logger — the serving layer is always observable,
 	// logging is opt-in.
 	Obs *obs.Observer
-	// Interpret runs jobs on the per-cycle interpreter instead of the
-	// compiled engine when their spec leaves the compile field empty;
-	// a spec's explicit "on"/"off" always wins. Engine choice never
-	// changes results (the two are bit-identical) or cache keys.
-	Interpret bool
-
 	// TenantRate and TenantBurst configure the per-tenant token-bucket
 	// submission limiter: each tenant accrues TenantRate tokens per
 	// second up to TenantBurst, and each submission (any endpoint)
@@ -395,7 +389,13 @@ func (s *Server) dropWaiter(fl *flight) {
 func (s *Server) jobTimeout(timeoutMS int) time.Duration {
 	d := s.opts.DefaultTimeout
 	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
+		// Clamp before converting to nanoseconds: a huge request would
+		// overflow time.Duration into a negative, instantly expired
+		// timeout.
+		d = s.opts.MaxTimeout
+		if ms := time.Duration(timeoutMS); ms <= s.opts.MaxTimeout/time.Millisecond {
+			d = ms * time.Millisecond
+		}
 	}
 	if d > s.opts.MaxTimeout {
 		d = s.opts.MaxTimeout
@@ -524,9 +524,6 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobResult, error) {
 	// cache key deliberately ignores it (like Trace, it is not an
 	// architecture parameter).
 	cfg.Faults = s.opts.Faults
-	if spec.Compile == "" && s.opts.Interpret {
-		cfg.Compiled = false
-	}
 	kernel, err := spec.BuildKernel()
 	if err != nil {
 		return JobResult{}, &apiError{status: http.StatusBadRequest, msg: err.Error()}

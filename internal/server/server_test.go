@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -206,6 +207,30 @@ func TestJobTimeout(t *testing.T) {
 	}
 	if m := s.MetricsSnapshot(); m.JobsFailed != 1 {
 		t.Errorf("JobsFailed = %d, want 1", m.JobsFailed)
+	}
+}
+
+// TestHugeTimeoutClamped: a requested timeout_ms too large for a
+// time.Duration is clamped to MaxTimeout, not overflowed into a
+// negative timeout that fails the job instantly with a 504. Each spec
+// is distinct, so every request really simulates.
+func TestHugeTimeoutClamped(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, MaxTimeout: time.Minute})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for i, ms := range []int{1e13, math.MaxInt} {
+		if got := s.jobTimeout(ms); got != time.Minute {
+			t.Errorf("jobTimeout(%d) = %v, want the 1m MaxTimeout", ms, got)
+		}
+		res, code := postJob(t, ts, JobSpec{Microbench: 2 << i, TimeoutMS: ms})
+		if code != http.StatusOK {
+			t.Fatalf("timeout_ms=%d POST = %d, want 200", ms, code)
+		}
+		if res.Cached || res.Counters.Cycles == 0 {
+			t.Errorf("timeout_ms=%d: cached=%v cycles=%d, want a fresh simulation",
+				ms, res.Cached, res.Counters.Cycles)
+		}
 	}
 }
 
@@ -578,14 +603,20 @@ func TestSpecConfigKnobs(t *testing.T) {
 		t.Errorf("WorkloadID = %q", got)
 	}
 
-	for compile, want := range map[string]bool{"": true, "on": true, "off": false} {
+	// compile is a validated no-op: every accepted value runs the
+	// compiled engine, anything else is rejected.
+	for _, compile := range []string{"", "on", "off", "OFF"} {
 		cfg, err := JobSpec{Microbench: 4, Compile: compile}.Config()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cfg.Compiled != want {
-			t.Errorf("Compile=%q → Compiled=%v, want %v", compile, cfg.Compiled, want)
+		if !cfg.Compiled {
+			t.Errorf("Compile=%q must run the compiled engine", compile)
 		}
+	}
+	if _, err := (JobSpec{Microbench: 4, Compile: "maybe"}).Config(); err == nil ||
+		!strings.Contains(err.Error(), "unknown compile mode") {
+		t.Errorf("Compile=maybe: err = %v, want an unknown compile mode error", err)
 	}
 
 	for policy, want := range map[string]config.SchedPolicy{
@@ -654,45 +685,38 @@ func TestServiceWorkloadPolicyJobs(t *testing.T) {
 	}
 }
 
-// TestCompileEngineChoice pins the serving contract of the execution
-// engine knob: engine choice is not an architecture parameter, so a
-// compiled job and its interpreted twin share one cache key (the
-// interpreted re-POST is a hit) and report bit-identical counters —
-// including on a server whose default engine is the interpreter
-// (Options.Interpret, sisimd -compile off).
+// TestCompileEngineChoice pins the serving contract of the legacy
+// compile field: it is a validated no-op. Every accepted value runs
+// the one compiled engine under one cache key (the re-POSTs are hits
+// with identical counters), and an unknown value is still a 400.
 func TestCompileEngineChoice(t *testing.T) {
-	for _, srvOpts := range []struct {
-		name string
-		opts Options
-	}{
-		{"compiled-default", Options{Workers: 2}},
-		{"interpret-default", Options{Workers: 2, Interpret: true}},
-	} {
-		t.Run(srvOpts.name, func(t *testing.T) {
-			s := newTestServer(t, srvOpts.opts)
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
+	t.Run("compiled-default", func(t *testing.T) {
+		s := newTestServer(t, Options{Workers: 2})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
 
-			first, code := postJob(t, ts, JobSpec{Microbench: 4, SI: true, Compile: "on"})
+		first, code := postJob(t, ts, JobSpec{Microbench: 4, SI: true, Compile: "on"})
+		if code != http.StatusOK {
+			t.Fatalf("compile=on POST = %d", code)
+		}
+		if first.Cached || first.Counters.Cycles == 0 {
+			t.Fatalf("first run: cached=%v counters=%+v", first.Cached, first.Counters)
+		}
+		for _, compile := range []string{"off", ""} {
+			res, code := postJob(t, ts, JobSpec{Microbench: 4, SI: true, Compile: compile})
 			if code != http.StatusOK {
-				t.Fatalf("compiled POST = %d", code)
+				t.Fatalf("compile=%q POST = %d", compile, code)
 			}
-			if first.Cached || first.Counters.Cycles == 0 {
-				t.Fatalf("compiled run: cached=%v counters=%+v", first.Cached, first.Counters)
+			if !res.Cached {
+				t.Errorf("compile=%q must share the compile=on run's cache key", compile)
 			}
-			for _, compile := range []string{"off", ""} {
-				res, code := postJob(t, ts, JobSpec{Microbench: 4, SI: true, Compile: compile})
-				if code != http.StatusOK {
-					t.Fatalf("compile=%q POST = %d", compile, code)
-				}
-				if !res.Cached {
-					t.Errorf("compile=%q must share the compiled run's cache key", compile)
-				}
-				if res.Counters != first.Counters {
-					t.Errorf("compile=%q counters differ:\n  compiled %+v\n  got      %+v",
-						compile, first.Counters, res.Counters)
-				}
+			if res.Counters != first.Counters {
+				t.Errorf("compile=%q counters differ:\n  on  %+v\n  got %+v",
+					compile, first.Counters, res.Counters)
 			}
-		})
-	}
+		}
+		if _, code := postJob(t, ts, JobSpec{Microbench: 4, SI: true, Compile: "maybe"}); code != http.StatusBadRequest {
+			t.Errorf("compile=maybe POST = %d, want %d", code, http.StatusBadRequest)
+		}
+	})
 }

@@ -47,11 +47,10 @@ type JobSpec struct {
 	// Policy is the warp-scheduler arbitration rule: "lrr" (default),
 	// "gto", or "wasp".
 	Policy string `json:"policy,omitempty"`
-	// Compile selects the execution engine: "on" (pre-decoded streams
-	// with basic-block fast-forward), "off" (the per-cycle
-	// interpreter), or "" for the server's default. The engines are
-	// bit-identical, so this is a debugging knob, not a result knob;
-	// the cache key ignores it.
+	// Compile is accepted for compatibility and ignored: "", "on" and
+	// "off" all run the compiled engine (any other value is rejected).
+	// Engine choice never changed results, and the cache key ignores
+	// it.
 	Compile string `json:"compile,omitempty"`
 
 	// TimeoutMS bounds this job's simulation wall time; 0 uses the
@@ -59,46 +58,59 @@ type JobSpec struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// ParseOrder maps a CLI/API order name onto the config constant.
-func ParseOrder(name string) (config.SubwarpOrder, error) {
-	switch strings.ToLower(name) {
-	case "", "taken":
-		return config.OrderTakenFirst, nil
-	case "fallthrough":
-		return config.OrderFallthroughFirst, nil
-	case "largest":
-		return config.OrderLargestFirst, nil
-	case "random":
-		return config.OrderRandom, nil
-	default:
-		return 0, fmt.Errorf("unknown order %q (taken, fallthrough, largest, random)", name)
-	}
+// knobs is the architecture/policy half JobSpec and SubmitSpec share.
+// SubmitSpec has no latency, warp-slot or TST-capacity knob, so it
+// leaves those zero (the paper default).
+type knobs struct {
+	si, dws, yield                        bool
+	trigger, order, policy, compile       string
+	latencyCycles, warpSlots, maxSubwarps int
 }
 
-// ParseTrigger maps a CLI/API trigger name onto the config constant.
-func ParseTrigger(name string) (config.SelectTrigger, error) {
-	switch strings.ToLower(name) {
-	case "any":
-		return config.TriggerAnyStalled, nil
-	case "", "half":
-		return config.TriggerHalfStalled, nil
-	case "all":
-		return config.TriggerAllStalled, nil
-	default:
-		return 0, fmt.Errorf("unknown trigger %q (any, half, all)", name)
+// config checks the knobs' names and maps the knobs onto the paper's
+// Table I defaults. The spec types check si/dws exclusivity and
+// negative values themselves, with their own messages.
+func (k knobs) config() (config.Config, error) {
+	cfg := config.Default()
+	trigger, err := config.ParseTrigger(k.trigger)
+	if err != nil {
+		return cfg, err
 	}
+	policy, err := config.ParseSchedPolicy(k.policy)
+	if err != nil {
+		return cfg, err
+	}
+	order, err := config.ParseOrder(k.order)
+	if err != nil {
+		return cfg, err
+	}
+	switch strings.ToLower(k.compile) {
+	case "", "on", "off":
+	default:
+		return cfg, fmt.Errorf("unknown compile mode %q (on, off)", k.compile)
+	}
+	if k.latencyCycles > 0 {
+		cfg.L1MissLatency = k.latencyCycles
+	}
+	if k.warpSlots > 0 {
+		cfg.WarpSlotsPerBlock = k.warpSlots
+	}
+	cfg.Order = order
+	cfg.SchedPolicy = policy
+	if k.dws {
+		cfg = cfg.WithDWS()
+	} else if k.si {
+		cfg = cfg.WithSI(k.yield, trigger)
+		cfg.SI.MaxSubwarps = k.maxSubwarps
+	}
+	return cfg, nil
 }
 
-// ParseCompile maps a CLI/API engine name onto the config.Compiled
-// bit. The empty string means "default" and parses as compiled.
-func ParseCompile(name string) (bool, error) {
-	switch strings.ToLower(name) {
-	case "", "on":
-		return true, nil
-	case "off":
-		return false, nil
-	default:
-		return false, fmt.Errorf("unknown compile mode %q (on, off)", name)
+func (j JobSpec) knobs() knobs {
+	return knobs{
+		si: j.SI, dws: j.DWS, yield: j.Yield,
+		trigger: j.Trigger, order: j.Order, policy: j.Policy, compile: j.Compile,
+		latencyCycles: j.LatencyCycles, warpSlots: j.WarpSlots, maxSubwarps: j.MaxSubwarps,
 	}
 }
 
@@ -120,6 +132,16 @@ func (j JobSpec) workloadCount() int {
 
 // Validate reports the first problem with the spec.
 func (j JobSpec) Validate() error {
+	if err := j.checkShape(); err != nil {
+		return err
+	}
+	_, err := j.knobs().config()
+	return err
+}
+
+// checkShape validates everything but the knob names: the workload
+// selector, and si/dws exclusivity and negative values.
+func (j JobSpec) checkShape() error {
 	switch {
 	case j.workloadCount() == 0:
 		return fmt.Errorf("spec needs a workload: set app, microbench, or workload")
@@ -134,60 +156,27 @@ func (j JobSpec) Validate() error {
 	}
 	switch {
 	case j.App != "":
-		if _, err := workload.ProfileByName(j.App); err != nil {
-			return err
-		}
+		_, err := workload.ProfileByName(j.App)
+		return err
 	case j.Workload != "":
 		// Generators validate their (default) parameters at build time;
 		// here only the name needs to resolve.
-		if _, err := workload.GeneratorByName(j.Workload); err != nil {
-			return err
-		}
+		_, err := workload.GeneratorByName(j.Workload)
+		return err
 	default:
-		if err := workload.DefaultMicrobench(j.Microbench).Validate(); err != nil {
-			return err
-		}
+		return workload.DefaultMicrobench(j.Microbench).Validate()
 	}
-	if _, err := ParseTrigger(j.Trigger); err != nil {
-		return err
-	}
-	if _, err := config.ParseSchedPolicy(j.Policy); err != nil {
-		return err
-	}
-	if _, err := ParseOrder(j.Order); err != nil {
-		return err
-	}
-	if _, err := ParseCompile(j.Compile); err != nil {
-		return err
-	}
-	return nil
 }
 
 // Config builds the architecture configuration the spec describes,
 // starting from the paper's Table I defaults.
 func (j JobSpec) Config() (config.Config, error) {
-	cfg := config.Default()
-	if err := j.Validate(); err != nil {
+	if err := j.checkShape(); err != nil {
+		return config.Default(), err
+	}
+	cfg, err := j.knobs().config()
+	if err != nil {
 		return cfg, err
-	}
-	if j.LatencyCycles > 0 {
-		cfg.L1MissLatency = j.LatencyCycles
-	}
-	if j.WarpSlots > 0 {
-		cfg.WarpSlotsPerBlock = j.WarpSlots
-	}
-	order, _ := ParseOrder(j.Order)
-	cfg.Order = order
-	policy, _ := config.ParseSchedPolicy(j.Policy)
-	cfg.SchedPolicy = policy
-	compiled, _ := ParseCompile(j.Compile)
-	cfg.Compiled = compiled
-	if j.DWS {
-		cfg = cfg.WithDWS()
-	} else if j.SI {
-		trigger, _ := ParseTrigger(j.Trigger)
-		cfg = cfg.WithSI(j.Yield, trigger)
-		cfg.SI.MaxSubwarps = j.MaxSubwarps
 	}
 	return cfg, cfg.Validate()
 }

@@ -52,7 +52,9 @@ type SubmitSpec struct {
 	MaxInstrs         int64 `json:"max_instrs,omitempty"`
 	MemFootprintBytes int64 `json:"mem_footprint_bytes,omitempty"`
 
-	// Policy knobs, mirroring JobSpec.
+	// Policy knobs, as in JobSpec. A submission has no latency_cycles,
+	// warp_slots or max_subwarps: it always runs on the paper's default
+	// memory latency, warp slots and TST capacity.
 	SI        bool   `json:"si,omitempty"`
 	DWS       bool   `json:"dws,omitempty"`
 	Yield     bool   `json:"yield,omitempty"`
@@ -91,9 +93,10 @@ func (sp SubmitSpec) warps() (warps, perCTA int) {
 	return warps, perCTA
 }
 
-// Validate reports the first problem with the spec's launch shape and
-// knobs (the assembly itself is the admission pass's job).
-func (sp SubmitSpec) Validate() error {
+// checkShape validates everything but the knob names: the assembly's
+// presence, the launch shape, budgets, si/dws exclusivity and the
+// timeout.
+func (sp SubmitSpec) checkShape() error {
 	if sp.Assembly == "" {
 		return fmt.Errorf("submission has no assembly")
 	}
@@ -110,41 +113,37 @@ func (sp SubmitSpec) Validate() error {
 	case sp.TimeoutMS < 0:
 		return fmt.Errorf("negative timeout_ms is invalid")
 	}
-	if _, err := ParseTrigger(sp.Trigger); err != nil {
-		return err
-	}
-	if _, err := config.ParseSchedPolicy(sp.Policy); err != nil {
-		return err
-	}
-	if _, err := ParseOrder(sp.Order); err != nil {
-		return err
-	}
-	if _, err := ParseCompile(sp.Compile); err != nil {
-		return err
-	}
 	return nil
 }
 
-// Config builds the architecture configuration for the submission,
-// applying the same knob mapping as JobSpec.Config.
+// Validate reports the first problem with the spec's launch shape and
+// knobs (the assembly itself is the admission pass's job).
+func (sp SubmitSpec) Validate() error {
+	if err := sp.checkShape(); err != nil {
+		return err
+	}
+	_, err := sp.knobs().config()
+	return err
+}
+
+// Config builds the architecture configuration for the submission
+// through the knob mapping JobSpec.Config uses.
 func (sp SubmitSpec) Config() (config.Config, error) {
-	cfg := config.Default()
-	if err := sp.Validate(); err != nil {
+	if err := sp.checkShape(); err != nil {
+		return config.Default(), err
+	}
+	cfg, err := sp.knobs().config()
+	if err != nil {
 		return cfg, err
 	}
-	order, _ := ParseOrder(sp.Order)
-	cfg.Order = order
-	policy, _ := config.ParseSchedPolicy(sp.Policy)
-	cfg.SchedPolicy = policy
-	compiled, _ := ParseCompile(sp.Compile)
-	cfg.Compiled = compiled
-	if sp.DWS {
-		cfg = cfg.WithDWS()
-	} else if sp.SI {
-		trigger, _ := ParseTrigger(sp.Trigger)
-		cfg = cfg.WithSI(sp.Yield, trigger)
-	}
 	return cfg, cfg.Validate()
+}
+
+func (sp SubmitSpec) knobs() knobs {
+	return knobs{
+		si: sp.SI, dws: sp.DWS, yield: sp.Yield,
+		trigger: sp.Trigger, order: sp.Order, policy: sp.Policy, compile: sp.Compile,
+	}
 }
 
 // submitBudget resolves the spec's budget request against the
@@ -191,9 +190,6 @@ func (s *Server) SubmitKernel(ctx context.Context, sp SubmitSpec) (JobResult, er
 		return JobResult{}, &apiError{status: http.StatusBadRequest, msg: err.Error()}
 	}
 	cfg.Faults = s.opts.Faults
-	if sp.Compile == "" && s.opts.Interpret {
-		cfg.Compiled = false
-	}
 	budget := s.submitBudget(sp)
 	lim := s.opts.SubmitLimits
 	lim.MemFootprintBytes = budget.MaxMemBytes

@@ -4,58 +4,28 @@ import (
 	"fmt"
 	"math"
 
+	"subwarpsim/internal/bits"
 	"subwarpsim/internal/isa"
 	"subwarpsim/internal/trace"
 	"subwarpsim/internal/tst"
 )
 
 // Compiled execution: when cfg.Compiled is set, the SM executes the
-// program's pre-decoded operation stream (isa.Compiled) through the
-// function table below instead of re-decoding and switch-dispatching
-// in execute() every cycle, and SM.RunContext retires eligible
-// straight-line convergent regions in bulk (basic-block fast-forward,
-// see ffRun/ffCommit). Both paths are required to be bit-identical to
-// the interpreter — counters, memory, and trace streams — which the
-// compiled differential and fuzz suites enforce.
-
-// compiledExec dispatches one pre-decoded operation. The hot ALU
-// classes read only COp fields; the rare classes with elaborate
-// semantics (loads, ray tracing, control flow) delegate to the
-// interpreter's arms with the original instruction so the two modes
-// share one implementation.
-var compiledExec = [isa.NumExecClasses]func(*Block, *Warp, *isa.COp, int64){
-	isa.ExecNOP:    execCNop,
-	isa.ExecMOVI:   execCMovi,
-	isa.ExecMOV:    execCMov,
-	isa.ExecS2R:    execCS2r,
-	isa.ExecIADD:   execCIadd,
-	isa.ExecIADDI:  execCIaddi,
-	isa.ExecIMUL:   execCImul,
-	isa.ExecIMULI:  execCImuli,
-	isa.ExecIAND:   execCIand,
-	isa.ExecIOR:    execCIor,
-	isa.ExecIXOR:   execCIxor,
-	isa.ExecSHL:    execCShl,
-	isa.ExecSHR:    execCShr,
-	isa.ExecISETP:  execCIsetp,
-	isa.ExecISETPI: execCIsetpi,
-	isa.ExecFADD:   execCFadd,
-	isa.ExecFMUL:   execCFmul,
-	isa.ExecFFMA:   execCFfma,
-	isa.ExecMUFU:   execCMufu,
-	isa.ExecLOAD:   execCLoad,
-	isa.ExecSTG:    execCStg,
-	isa.ExecTRACE:  execCTrace,
-	isa.ExecBRA:    execCBra,
-	isa.ExecBRX:    execCBrx,
-	isa.ExecBSSY:   execCBssy,
-	isa.ExecBSYNC:  execCBsync,
-	isa.ExecYIELD:  execCYield,
-	isa.ExecEXIT:   execCExit,
-}
+// program's pre-decoded operation stream (isa.Compiled) instead of
+// re-decoding and switch-dispatching in execute() every cycle, and
+// SM.RunContext retires eligible straight-line convergent regions in
+// bulk (basic-block fast-forward, see ffRun/ffCommit). Stepped issue
+// and fast-forward share one implementation of every
+// fast-forward-simple op, applySimple; execute() stays as the
+// independent reference the differential, golden and fuzz suites hold
+// the compiled engine to — counters, memory, and trace streams.
 
 // executeCompiled is the compiled-mode twin of execute(): identical
-// issue bookkeeping, then table dispatch on the pre-decoded stream.
+// issue bookkeeping, then dispatch on the pre-decoded stream. Loads,
+// ray tracing and control flow share the interpreter's implementation
+// through the original instruction; STG, the one event-free op that
+// writes memory, stays inline on the pre-widened offset; every other
+// op is fast-forward-simple.
 func (b *Block) executeCompiled(w *Warp, now int64) {
 	mask := w.active
 	if mask.Empty() {
@@ -63,219 +33,149 @@ func (b *Block) executeCompiled(w *Warp, now int64) {
 	}
 	b.counters.IssuedInstrs++
 	b.counters.ActiveThreads += int64(mask.Count())
-	op := &b.cops[w.activePC]
+	pc := w.activePC
+	op := &b.cops[pc]
 	if b.rec != nil {
-		b.emit(now, w, w.activePC, mask, trace.KindIssue, int(op.Op))
+		b.emit(now, w, pc, mask, trace.KindIssue, int(op.Op))
 	}
-	compiledExec[op.Exec](b, w, op, now)
-}
-
-func execCNop(b *Block, w *Warp, op *isa.COp, now int64) {
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCMovi(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		w.regs[it.Lowest()][op.Dst] = uint32(op.Imm)
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCMov(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		w.regs[l][op.Dst] = w.regs[l][op.SrcA]
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCS2r(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		w.regs[l][op.Dst] = w.special(int(op.SrcA), l)
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCIadd(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		w.regs[l][op.Dst] = w.regs[l][op.SrcA] + w.regs[l][op.SrcB]
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCIaddi(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		w.regs[l][op.Dst] = w.regs[l][op.SrcA] + uint32(op.Imm)
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCImul(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		w.regs[l][op.Dst] = w.regs[l][op.SrcA] * w.regs[l][op.SrcB]
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCImuli(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		w.regs[l][op.Dst] = w.regs[l][op.SrcA] * uint32(op.Imm)
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCIand(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		w.regs[l][op.Dst] = w.regs[l][op.SrcA] & w.regs[l][op.SrcB]
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCIor(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		w.regs[l][op.Dst] = w.regs[l][op.SrcA] | w.regs[l][op.SrcB]
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCIxor(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		w.regs[l][op.Dst] = w.regs[l][op.SrcA] ^ w.regs[l][op.SrcB]
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCShl(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		w.regs[l][op.Dst] = w.regs[l][op.SrcA] << op.Sh
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCShr(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		w.regs[l][op.Dst] = w.regs[l][op.SrcA] >> op.Sh
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCIsetp(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		w.preds[l][op.Dst] = op.Cmp.Eval(int32(w.regs[l][op.SrcA]), int32(w.regs[l][op.SrcB]))
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCIsetpi(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		w.preds[l][op.Dst] = op.Cmp.Eval(int32(w.regs[l][op.SrcA]), op.Imm)
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCFadd(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		a := math.Float32frombits(w.regs[l][op.SrcA])
-		x := math.Float32frombits(w.regs[l][op.SrcB])
-		w.regs[l][op.Dst] = math.Float32bits(a + x)
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCFmul(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		a := math.Float32frombits(w.regs[l][op.SrcA])
-		x := math.Float32frombits(w.regs[l][op.SrcB])
-		w.regs[l][op.Dst] = math.Float32bits(a * x)
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCFfma(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		a := math.Float32frombits(w.regs[l][op.SrcA])
-		x := math.Float32frombits(w.regs[l][op.SrcB])
-		c := math.Float32frombits(w.regs[l][op.SrcC])
-		w.regs[l][op.Dst] = math.Float32bits(a*x + c)
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCMufu(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		x := math.Float32frombits(w.regs[l][op.SrcA])
-		w.regs[l][op.Dst] = math.Float32bits(float32(1 / math.Sqrt(math.Abs(float64(x))+1)))
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCLoad(b *Block, w *Warp, op *isa.COp, now int64) {
-	b.executeLoad(w, b.sm.prog.Code[w.activePC], now)
-}
-
-func execCStg(b *Block, w *Warp, op *isa.COp, now int64) {
-	for it := w.active; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		addr := uint64(w.regs[l][op.SrcA]) + op.UImm
-		b.sm.mem.Store(addr, w.regs[l][op.SrcB])
-	}
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCTrace(b *Block, w *Warp, op *isa.COp, now int64) {
-	b.executeTrace(w, b.sm.prog.Code[w.activePC], now)
-}
-
-func execCBra(b *Block, w *Warp, op *isa.COp, now int64) {
-	b.executeBranch(w, b.sm.prog.Code[w.activePC], now)
-}
-
-func execCBrx(b *Block, w *Warp, op *isa.COp, now int64) {
-	b.executeBrx(w, b.sm.prog.Code[w.activePC], now)
-}
-
-func execCBssy(b *Block, w *Warp, op *isa.COp, now int64) {
-	w.barriers[op.Barrier] = w.barriers[op.Barrier].Union(w.active)
-	w.setActivePCs(w.activePC + 1)
-}
-
-func execCBsync(b *Block, w *Warp, op *isa.COp, now int64) {
-	b.executeBsync(w, b.sm.prog.Code[w.activePC], now)
-}
-
-func execCYield(b *Block, w *Warp, op *isa.COp, now int64) {
-	w.setActivePCs(w.activePC + 1)
-	if b.cfg.SI.Enabled && b.cfg.SI.Yield && !w.tab.Mask(tst.Ready).Empty() {
-		b.yield(w, now)
+	switch op.Exec {
+	case isa.ExecLOAD:
+		b.executeLoad(w, b.sm.prog.Code[pc], now)
+	case isa.ExecSTG:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			b.sm.mem.Store(uint64(w.regs[l][op.SrcA])+op.UImm, w.regs[l][op.SrcB])
+		}
+		w.setActivePCs(pc + 1)
+	case isa.ExecTRACE:
+		b.executeTrace(w, b.sm.prog.Code[pc], now)
+	case isa.ExecBRA:
+		b.executeBranch(w, b.sm.prog.Code[pc], now)
+	case isa.ExecBRX:
+		b.executeBrx(w, b.sm.prog.Code[pc], now)
+	case isa.ExecBSYNC:
+		b.executeBsync(w, b.sm.prog.Code[pc], now)
+	case isa.ExecYIELD:
+		b.executeYield(w, now)
+	case isa.ExecEXIT:
+		b.executeExit(w, now)
+	default:
+		w.applySimple(mask, op)
+		w.setActivePCs(pc + 1)
 	}
 }
 
-func execCExit(b *Block, w *Warp, op *isa.COp, now int64) {
-	mask := w.active
-	if b.rec != nil {
-		b.emit(now, w, w.activePC, mask, trace.KindExit, 0)
-	}
-	w.tab.Exit(mask)
-	w.dropActive()
-	w.checkExit()
-	if !w.exited {
-		b.releaseAfterExit(w, now)
+// applySimple applies one fast-forward-simple operation (the ops the
+// compile pass lets into an isa.Compiled.FFLen run) to the lanes in
+// mask, leaving the PC alone. It is the compiled engine's only
+// implementation of these ops: stepped issue calls it once per issue,
+// ffCommit once per retired op of a run. YIELD is a no-op here because
+// it reaches a run only via FFLenYieldInert, selected when the hint is
+// architecturally inert.
+func (w *Warp) applySimple(mask bits.Mask, op *isa.COp) {
+	switch op.Exec {
+	case isa.ExecNOP, isa.ExecYIELD:
+	case isa.ExecMOVI:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			w.regs[it.Lowest()][op.Dst] = uint32(op.Imm)
+		}
+	case isa.ExecMOV:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA]
+		}
+	case isa.ExecS2R:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.special(int(op.SrcA), l)
+		}
+	case isa.ExecIADD:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] + w.regs[l][op.SrcB]
+		}
+	case isa.ExecIADDI:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] + uint32(op.Imm)
+		}
+	case isa.ExecIMUL:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] * w.regs[l][op.SrcB]
+		}
+	case isa.ExecIMULI:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] * uint32(op.Imm)
+		}
+	case isa.ExecIAND:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] & w.regs[l][op.SrcB]
+		}
+	case isa.ExecIOR:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] | w.regs[l][op.SrcB]
+		}
+	case isa.ExecIXOR:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] ^ w.regs[l][op.SrcB]
+		}
+	case isa.ExecSHL:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] << op.Sh
+		}
+	case isa.ExecSHR:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] >> op.Sh
+		}
+	case isa.ExecISETP:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.preds[l][op.Dst] = op.Cmp.Eval(int32(w.regs[l][op.SrcA]), int32(w.regs[l][op.SrcB]))
+		}
+	case isa.ExecISETPI:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.preds[l][op.Dst] = op.Cmp.Eval(int32(w.regs[l][op.SrcA]), op.Imm)
+		}
+	case isa.ExecFADD:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			a := math.Float32frombits(w.regs[l][op.SrcA])
+			x := math.Float32frombits(w.regs[l][op.SrcB])
+			w.regs[l][op.Dst] = math.Float32bits(a + x)
+		}
+	case isa.ExecFMUL:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			a := math.Float32frombits(w.regs[l][op.SrcA])
+			x := math.Float32frombits(w.regs[l][op.SrcB])
+			w.regs[l][op.Dst] = math.Float32bits(a * x)
+		}
+	case isa.ExecFFMA:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			a := math.Float32frombits(w.regs[l][op.SrcA])
+			x := math.Float32frombits(w.regs[l][op.SrcB])
+			c := math.Float32frombits(w.regs[l][op.SrcC])
+			w.regs[l][op.Dst] = math.Float32bits(a*x + c)
+		}
+	case isa.ExecMUFU:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			x := math.Float32frombits(w.regs[l][op.SrcA])
+			w.regs[l][op.Dst] = math.Float32bits(float32(1 / math.Sqrt(math.Abs(float64(x))+1)))
+		}
+	case isa.ExecBSSY:
+		w.barriers[op.Barrier] = w.barriers[op.Barrier].Union(mask)
+	default:
+		panic(fmt.Sprintf("sm: %v is not fast-forward-simple", op.Op))
 	}
 }
 
@@ -391,113 +291,7 @@ func (b *Block) ffCommit(gap, endCycle int64) {
 	b.counters.IssuedInstrs += gap
 	b.counters.ActiveThreads += gap * int64(mask.Count())
 	for n := int64(0); n < gap; n++ {
-		op := &b.cops[pc]
-		switch op.Exec {
-		case isa.ExecNOP, isa.ExecYIELD:
-			// YIELD reaches a run only via FFLenYieldInert, selected when
-			// the hint is architecturally inert.
-		case isa.ExecMOVI:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				w.regs[it.Lowest()][op.Dst] = uint32(op.Imm)
-			}
-		case isa.ExecMOV:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				w.regs[l][op.Dst] = w.regs[l][op.SrcA]
-			}
-		case isa.ExecS2R:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				w.regs[l][op.Dst] = w.special(int(op.SrcA), l)
-			}
-		case isa.ExecIADD:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				w.regs[l][op.Dst] = w.regs[l][op.SrcA] + w.regs[l][op.SrcB]
-			}
-		case isa.ExecIADDI:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				w.regs[l][op.Dst] = w.regs[l][op.SrcA] + uint32(op.Imm)
-			}
-		case isa.ExecIMUL:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				w.regs[l][op.Dst] = w.regs[l][op.SrcA] * w.regs[l][op.SrcB]
-			}
-		case isa.ExecIMULI:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				w.regs[l][op.Dst] = w.regs[l][op.SrcA] * uint32(op.Imm)
-			}
-		case isa.ExecIAND:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				w.regs[l][op.Dst] = w.regs[l][op.SrcA] & w.regs[l][op.SrcB]
-			}
-		case isa.ExecIOR:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				w.regs[l][op.Dst] = w.regs[l][op.SrcA] | w.regs[l][op.SrcB]
-			}
-		case isa.ExecIXOR:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				w.regs[l][op.Dst] = w.regs[l][op.SrcA] ^ w.regs[l][op.SrcB]
-			}
-		case isa.ExecSHL:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				w.regs[l][op.Dst] = w.regs[l][op.SrcA] << op.Sh
-			}
-		case isa.ExecSHR:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				w.regs[l][op.Dst] = w.regs[l][op.SrcA] >> op.Sh
-			}
-		case isa.ExecISETP:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				w.preds[l][op.Dst] = op.Cmp.Eval(int32(w.regs[l][op.SrcA]), int32(w.regs[l][op.SrcB]))
-			}
-		case isa.ExecISETPI:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				w.preds[l][op.Dst] = op.Cmp.Eval(int32(w.regs[l][op.SrcA]), op.Imm)
-			}
-		case isa.ExecFADD:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				a := math.Float32frombits(w.regs[l][op.SrcA])
-				x := math.Float32frombits(w.regs[l][op.SrcB])
-				w.regs[l][op.Dst] = math.Float32bits(a + x)
-			}
-		case isa.ExecFMUL:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				a := math.Float32frombits(w.regs[l][op.SrcA])
-				x := math.Float32frombits(w.regs[l][op.SrcB])
-				w.regs[l][op.Dst] = math.Float32bits(a * x)
-			}
-		case isa.ExecFFMA:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				a := math.Float32frombits(w.regs[l][op.SrcA])
-				x := math.Float32frombits(w.regs[l][op.SrcB])
-				c := math.Float32frombits(w.regs[l][op.SrcC])
-				w.regs[l][op.Dst] = math.Float32bits(a*x + c)
-			}
-		case isa.ExecMUFU:
-			for it := mask; !it.Empty(); it = it.DropLowest() {
-				l := it.Lowest()
-				x := math.Float32frombits(w.regs[l][op.SrcA])
-				w.regs[l][op.Dst] = math.Float32bits(float32(1 / math.Sqrt(math.Abs(float64(x))+1)))
-			}
-		case isa.ExecBSSY:
-			w.barriers[op.Barrier] = w.barriers[op.Barrier].Union(mask)
-		default:
-			panic(fmt.Sprintf("sm: non-simple op %v in fast-forward run", op.Op))
-		}
+		w.applySimple(mask, &b.cops[pc])
 		pc++
 	}
 	w.setActivePCs(pc)

@@ -125,24 +125,37 @@ func (b *Block) execute(w *Warp, in isa.Instr, now int64) {
 		b.executeBsync(w, in, now)
 
 	case isa.YIELD:
-		w.setActivePCs(pc + 1)
-		if b.cfg.SI.Enabled && b.cfg.SI.Yield && !w.tab.Mask(tst.Ready).Empty() {
-			b.yield(w, now)
-		}
+		b.executeYield(w, now)
 
 	case isa.EXIT:
-		if b.rec != nil {
-			b.emit(now, w, pc, mask, trace.KindExit, 0)
-		}
-		w.tab.Exit(mask)
-		w.dropActive()
-		w.checkExit()
-		if !w.exited {
-			b.releaseAfterExit(w, now)
-		}
+		b.executeExit(w, now)
 
 	default:
 		panic(fmt.Sprintf("sm: cannot execute %v", in.Op))
+	}
+}
+
+// executeYield implements the YIELD hint: with SI and subwarp-yield
+// enabled, the active subwarp gives up its slot when another is READY.
+func (b *Block) executeYield(w *Warp, now int64) {
+	w.setActivePCs(w.activePC + 1)
+	if b.cfg.SI.Enabled && b.cfg.SI.Yield && !w.tab.Mask(tst.Ready).Empty() {
+		b.yield(w, now)
+	}
+}
+
+// executeExit retires the active subwarp's threads, then releases
+// barrier waiters the exit satisfied or switches to a READY subwarp.
+func (b *Block) executeExit(w *Warp, now int64) {
+	mask := w.active
+	if b.rec != nil {
+		b.emit(now, w, w.activePC, mask, trace.KindExit, 0)
+	}
+	w.tab.Exit(mask)
+	w.dropActive()
+	w.checkExit()
+	if !w.exited {
+		b.releaseAfterExit(w, now)
 	}
 }
 

@@ -25,6 +25,12 @@ echo "ok"
 echo "== go test =="
 go test ./...
 
+echo "== servebench module =="
+# The serving benchmark is a module of its own (replace subwarpsim =>
+# ../), so the root ./... skips it: vet and test it here, so that an
+# API change that breaks the benchmark fails this gate.
+(cd servebench && go vet ./... && go test ./...)
+
 echo "== go test -race =="
 # The whole suite again under the race detector: gpu.RunWorkers
 # simulates SMs on concurrent goroutines and the experiments pool runs
@@ -38,14 +44,17 @@ echo "== determinism smoke =="
 go test -race -count=2 -run 'TestParallelMatchesSequential|TestParallelTraceMatchesSequential' ./internal/gpu
 
 echo "== compiled-mode gate =="
-# The two-mode differential layer under the race detector: the compiled
-# engine (pre-decoded streams + basic-block fast-forward) must be
-# bit-identical to the per-cycle interpreter — counters, derived
-# metrics, memory fingerprints, trace streams — over the golden corpus
-# (both modes), the workload/policy matrix, randomized divergent
-# kernels, and the fuzz seed corpus. The alloc pin covers the compiled
-# steady-state loop itself; the compile-pass tests pin the lowering and
-# its one-compile-per-program cache.
+# The two-mode differential layer under the race detector. Stepped
+# issue and fast-forward share one implementation of every ALU op
+# (applySimple in internal/sm/compiled.go); the per-cycle interpreter,
+# execute() in internal/sm/execute.go, is the independent reference.
+# The compiled engine (pre-decoded streams + basic-block fast-forward)
+# must be bit-identical to it — counters, derived metrics, memory
+# fingerprints, trace streams — over the golden corpus (both modes),
+# the workload/policy matrix, randomized divergent kernels, and the
+# fuzz seed corpus. The alloc pin covers the compiled steady-state loop
+# itself; the compile-pass tests pin the lowering and its
+# one-compile-per-program cache.
 go test -race -count=1 -run 'TestCompiled|TestGolden' ./internal/gpu ./internal/experiments
 go test -race -count=1 -run 'FuzzRun' ./internal/gpu
 
@@ -57,7 +66,7 @@ echo "== matrix gate =="
 # GEMM, idle-bucket conservation, schedule-independent work and memory
 # images) must hold in every cell.
 go test -race -count=1 -run 'TestMatrixDifferential|TestPropertyGEMMSITransparency|TestPropertyGeneratorInvariants' ./internal/gpu
-go test -race -count=1 -run 'TestCompile|TestCompiledSteadyStateZeroAlloc' ./internal/isa ./internal/sm
+go test -race -count=1 -run 'TestCompile|TestCompiledSteadyStateZeroAlloc|TestApplySimple' ./internal/isa ./internal/sm
 
 echo "== service smoke =="
 # Drive the real sisimd binary end to end: start it on an ephemeral
